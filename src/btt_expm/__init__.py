@@ -1,7 +1,7 @@
 """Matrix exponentials of block-triangular block-Toeplitz subgenerators.
 
 The structured matrix is defined by its first block-row (a
-:class:`BlockVector` of n blocks of order m).  Three FFT-accelerated methods
+:class:`BlockVector` of n blocks of order m).  Four FFT-accelerated methods
 compute the first block-row of its exponential, with closed-form error
 bounds, parameter selection rules, a dense oracle for validation, synthetic
 instance generators, and a CLI experiment harness (``btt-expm``).

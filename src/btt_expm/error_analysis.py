@@ -26,6 +26,7 @@ __all__ = [
     "circulant_roundoff_bound",
     "decay_bound",
     "eps_approx_bound",
+    "embedding_log_bound_fK",
     "embedding_bound_fK",
     "embedding_size_g",
     "taylor_truncation_bound",
@@ -113,18 +114,40 @@ def eps_approx_bound(l_norm: float, epsilon: complex) -> float:
     return math.expm1(t)
 
 
+def embedding_log_bound_fK(alpha: float, l_norm: float, n: int, K: int,
+                           log_sigma: float) -> float:
+    """Natural log of :func:`embedding_bound_fK` at sigma = exp(log_sigma).
+
+    Summed term by term, so it stays finite where the factors of the bound
+    overflow or underflow (sigma**(n-1) and sigma**-(K-n) at n, K ~ 1e5);
+    -inf when l_norm is 0, inf only when the bound itself overflows.
+    """
+    t = float(log_sigma)
+    if not t > 0:
+        raise ValueError(f"log_sigma must be positive, got {t}")
+    if K < n:
+        raise ValueError(f"embedding length K = {K} must be at least n = {n}")
+    if l_norm == 0:
+        return -math.inf
+    try:
+        growth = alpha * math.expm1((n - 1) * t)
+    except OverflowError:
+        return math.inf
+    # log(expm1(l)) and log(1 - 1/sigma), both without overflow or cancellation
+    return (l_norm + math.log(-math.expm1(-l_norm)) + growth
+            - (K - n) * t - math.log(-math.expm1(-t)))
+
+
 def embedding_bound_fK(alpha: float, l_norm: float, n: int, K: int, sigma: float) -> float:
     """Tail bound on the first n blocks of the K-circulant embedding error,
-    valid for every sigma > 1."""
+    valid for every sigma > 1:
+    expm1(l_norm) * exp(alpha*(sigma**(n-1) - 1)) * sigma**-(K-n) / (1 - 1/sigma)."""
     sigma = float(sigma)
     if sigma <= 1:
         raise ValueError(f"sigma must exceed 1, got {sigma}")
-    if K < n:
-        raise ValueError(f"embedding length K = {K} must be at least n = {n}")
+    log_f = embedding_log_bound_fK(alpha, l_norm, n, K, math.log1p(sigma - 1.0))
     try:
-        return (math.expm1(l_norm)
-                * math.exp(alpha * (sigma ** (n - 1) - 1.0))
-                * sigma ** (-(K - n)) / (1.0 - 1.0 / sigma))
+        return math.exp(log_f)
     except OverflowError:
         return math.inf
 

@@ -44,6 +44,7 @@ __all__ = [
     "exp_btt_taylor",
     "select_epsilon",
     "select_embedding_K",
+    "embedding_tail_bound",
     "compute_exponential",
 ]
 
@@ -226,12 +227,9 @@ def exp_btt_embedding(spec: SubgeneratorSpec, K: int, use_scaling: bool = True,
     lead = _pad(s.data[: spec.n], _next_pow2(spec.n))
     y = _finish(lead, p, spec.n)
 
-    sigma_grid = 1.0 + np.geomspace(1e-3, 99.0, 80)
-    f_min = min(ea.embedding_bound_fK(sspec.alpha, sspec.l_norm, spec.n, K2, s_)
-                for s_ in sigma_grid)
     chi = ea.chi_bound(K2, spec.m, float(np.abs(embedded.data).max()), 1.0)
     bounds = {
-        "tail": f_min,
+        "tail": embedding_tail_bound(sspec, K2),
         "roundoff": ea.circulant_roundoff_bound(chi, spec.m),
     }
     config = MethodConfig("embedding", K=K2, use_scaling=use_scaling)
@@ -347,6 +345,22 @@ def _golden_min(fn, lo: float, hi: float, iters: int = 200) -> float:
     return c if fc <= fd else d
 
 
+# log sigma range searched by both embedding rules (size function, tail bound)
+_LOG_SIGMA_RANGE = (1e-6, 10.0)
+
+
+def embedding_tail_bound(spec: SubgeneratorSpec, K: int) -> float:
+    """Tail bound f_K on the first n blocks of the K-circulant embedding,
+    minimized over sigma by golden-section search on log sigma (the range
+    ``select_embedding_K`` searches).  Pass the scaled instance."""
+
+    def log_f(t: float) -> float:
+        return ea.embedding_log_bound_fK(spec.alpha, spec.l_norm, spec.n, K, t)
+
+    t_star = _golden_min(log_f, *_LOG_SIGMA_RANGE)
+    return ea.embedding_bound_fK(spec.alpha, spec.l_norm, spec.n, K, math.exp(t_star))
+
+
 def select_embedding_K(spec: SubgeneratorSpec, target_error: float) -> int:
     """Smallest power-of-two embedding length whose tail bound can be pushed
     below ``target_error``, found by minimizing the size function over sigma
@@ -360,7 +374,7 @@ def select_embedding_K(spec: SubgeneratorSpec, target_error: float) -> int:
     def g_of_log(t: float) -> float:
         return ea.embedding_size_g(spec.alpha, spec.l_norm, n, target_error, math.exp(t))
 
-    t_star = _golden_min(g_of_log, 1e-6, 10.0)
+    t_star = _golden_min(g_of_log, *_LOG_SIGMA_RANGE)
     g_star = g_of_log(t_star)
     base = max(g_star, float(n))
     k = 1

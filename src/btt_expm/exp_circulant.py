@@ -2,21 +2,24 @@
 
 Both families are block-diagonalized by the Fourier block transform (the
 eps variant after a diagonal scaling by the powers of the n-th root of
-epsilon), so the exponential reduces to n independent m x m exponentials in
-the transformed domain plus two block transforms.  The n small exponentials
-carry no ordering dependence and may be evaluated in parallel.
+epsilon), so the exponential reduces to independent m x m exponentials in
+the transformed domain plus two block transforms.  A real circulant has a
+Hermitian spectrum, so only its n//2 + 1 leading frequencies are
+exponentiated and the real inverse transform restores the rest.  The small
+exponentials carry no ordering dependence and may be evaluated in parallel.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .block_linalg import BlockVector
 from .dense_expm import _expm_stack
-from .fft_transforms import EpsilonScaling, get_plan, _transform_stack
-from .structured_mul import _discard_imag
+from .fft_transforms import _transform_stack
 
 __all__ = ["exp_eps_circulant", "exp_circulant"]
 
@@ -30,11 +33,6 @@ def _exp_blocks(v: np.ndarray, threads: int) -> np.ndarray:
     return _expm_stack(v)
 
 
-def _require_pow2(n: int) -> None:
-    if n & (n - 1):
-        raise ValueError(f"block length must be a power of two, got {n}")
-
-
 def exp_eps_circulant(u: BlockVector, epsilon: complex, *, threads: int = 1,
                       allow_large_eps: bool = False) -> BlockVector:
     """First block-row Y of the exponential of the block-eps-circulant matrix
@@ -42,35 +40,30 @@ def exp_eps_circulant(u: BlockVector, epsilon: complex, *, threads: int = 1,
 
     ``|epsilon| <= 1`` is required unless ``allow_large_eps`` is set (the
     escape hatch used by parameter sweeps exploring larger magnitudes).
+    The scaling uses the principal n-th root theta of epsilon: block k is
+    multiplied by theta**k before the transform and by theta**-k after.
     """
-    _require_pow2(u.n)
     epsilon = complex(epsilon)
     if epsilon == 0:
         raise ValueError("epsilon must be nonzero")
     if not allow_large_eps and abs(epsilon) > 1:
         raise ValueError(f"|epsilon| = {abs(epsilon)!r} > 1 (pass allow_large_eps to override)")
 
-    plan = get_plan(u.n)
-    es = EpsilonScaling(epsilon, u.n)
-    z = u.data * es.powers[:, None, None]
-    v = _transform_stack(z, plan, conj=True)        # F^H (x) I applied to the scaled blocks
-    w = _exp_blocks(v, threads)
-    y = _transform_stack(w, plan, conj=False)
-    y *= 1.0 / u.n
-    y *= es.inv_powers[:, None, None]
+    n = u.n
+    # log(theta) on the principal branch; both power tables are taken from it
+    # directly, so theta**k * theta**-k is 1 to machine accuracy
+    log_theta = (math.log(abs(epsilon)) + 1j * cmath.phase(epsilon)) / n
+    k = np.arange(n)[:, None, None]
+    v = _transform_stack(u.data * np.exp(k * log_theta), n)
+    y = _transform_stack(_exp_blocks(v, threads), n, inverse=True)
+    y *= np.exp(-k * log_theta)
     return BlockVector._wrap(y)
 
 
 def exp_circulant(u: BlockVector, *, threads: int = 1) -> BlockVector:
     """First block-row Y of the exponential of the block-circulant matrix with
-    first block-row ``u``.  Real input yields a real result (imaginary
-    roundoff is checked and discarded)."""
-    _require_pow2(u.n)
-    plan = get_plan(u.n)
-    v = _transform_stack(u.data, plan, conj=True)
-    w = _exp_blocks(v, threads)
-    y = _transform_stack(w, plan, conj=False)
-    y *= 1.0 / u.n
-    if u.is_real:
-        return BlockVector._wrap(_discard_imag(y))
-    return BlockVector._wrap(y)
+    first block-row ``u``.  Real input yields a real result."""
+    n = u.n
+    v = _transform_stack(u.data, n, real=u.is_real)
+    return BlockVector._wrap(
+        _transform_stack(_exp_blocks(v, threads), n, inverse=True, real=u.is_real))

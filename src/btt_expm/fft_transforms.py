@@ -1,171 +1,34 @@
-"""Radix-2 FFT plans, the block transforms that diagonalize block-circulant
-matrices, and the diagonal scaling used for the eps-circulant variant.
+"""The one block transform the package uses: numpy's pocketfft along axis 0.
 
-Conventions (transform length n = 2**q only):
+A block-vector is an (n, m, m) stack; transforming it means transforming each
+of its m*m component sequences, i.e. applying F (x) I_m.  numpy's conventions
+are kept: the forward transform is unnormalized with kernel exp(-2*pi*1j/n),
+the inverse carries the 1/n.  Real stacks take the real transforms, which
+keep only the n//2 + 1 nonnegative frequencies (the rest are their conjugates)
+and return a real result by construction.
 
-* ``idft(plan, x)`` applies the unnormalized Fourier matrix F with entries
-  w**(i*j), w = exp(2*pi*1j/n); this is the inverse discrete Fourier
-  transform.
-* ``dft(plan, x)`` applies (1/n) * F^H, the forward transform, so
-  ``dft(plan, idft(plan, x)) == x``.
-* The block transforms apply the scalar transform independently to each of
-  the m*m component sequences of a BlockVector (i.e. F (x) I_m).
-
-The butterfly kernel has two interchangeable implementations: a compiled
-extension and a vectorized numpy fallback.  Selection happens at import
-time; set ``BTT_EXPM_FFT=py`` to force the fallback.
+Any length works; whether to pad to a power of two is decided by the callers
+in ``exp_btt``, not here.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
-import os
-from functools import lru_cache
-
 import numpy as np
 
-from .block_linalg import BlockVector
-
-__all__ = [
-    "FourierPlan",
-    "get_plan",
-    "idft",
-    "dft",
-    "block_idft",
-    "block_dft",
-    "EpsilonScaling",
-    "scale",
-    "kernel_name",
-]
-
-if os.environ.get("BTT_EXPM_FFT", "").lower() in ("py", "python"):
-    from . import _kernel_py as _kernel
-    COMPILED_KERNEL = False
-else:
-    try:
-        from . import _fft_kernel as _kernel  # type: ignore[attr-defined]
-        COMPILED_KERNEL = True
-    except ImportError:
-        from . import _kernel_py as _kernel
-        COMPILED_KERNEL = False
+__all__: list[str] = []
 
 
-def kernel_name() -> str:
-    """Which butterfly kernel this process is using."""
-    return "compiled" if COMPILED_KERNEL else "python"
+def _transform_stack(stack: np.ndarray, n: int, *, inverse: bool = False,
+                     real: bool = False) -> np.ndarray:
+    """Length-n transform of every component sequence of an (N, m, m) stack.
 
-
-class FourierPlan:
-    """Precomputed root table and bit-reversal permutation for length n = 2**q."""
-
-    __slots__ = ("n", "roots", "conj_roots", "bitrev")
-
-    def __init__(self, n: int):
-        if n < 1 or n & (n - 1):
-            raise ValueError(f"transform length must be a power of two, got {n}")
-        self.n = n
-        k = np.arange(n)
-        # direct evaluation keeps every root within ~1 ulp of the unit circle
-        roots = np.exp((2j * np.pi / n) * k)
-        self.roots = roots
-        self.conj_roots = roots.conj()
-
-        q = n.bit_length() - 1
-        rev = np.zeros(n, dtype=np.intp)
-        for i in range(1, n):
-            rev[i] = (rev[i >> 1] >> 1) | ((i & 1) << (q - 1))
-        self.bitrev = rev
-
-    def __repr__(self) -> str:
-        return f"FourierPlan(n={self.n})"
-
-
-@lru_cache(maxsize=None)
-def get_plan(n: int) -> FourierPlan:
-    return FourierPlan(n)
-
-
-def _as_batch(x, n: int) -> np.ndarray:
-    arr = np.asarray(x)
-    if arr.shape != (n,):
-        raise ValueError(f"expected a length-{n} vector, got shape {arr.shape}")
-    out = np.empty((1, n), dtype=np.complex128)
-    out[0] = arr
-    return out
-
-
-def idft(plan: FourierPlan, x) -> np.ndarray:
-    """Unnormalized inverse transform F @ x, computed in O(n log n)."""
-    batch = _as_batch(x, plan.n)
-    _kernel.fft_batch(batch, plan.roots, plan.bitrev)
-    return batch[0]
-
-
-def dft(plan: FourierPlan, x) -> np.ndarray:
-    """Forward transform (1/n) F^H @ x; inverse of :func:`idft`."""
-    batch = _as_batch(x, plan.n)
-    _kernel.fft_batch(batch, plan.conj_roots, plan.bitrev)
-    batch *= 1.0 / plan.n
-    return batch[0]
-
-
-def _transform_stack(arr: np.ndarray, plan: FourierPlan, conj: bool) -> np.ndarray:
-    """Apply the scalar transform along axis 0 of an (n, m, m) stack,
-    independently for each of the m*m component sequences."""
-    n, m, _ = arr.shape
-    if n != plan.n:
-        raise ValueError(f"block-vector length {n} does not match plan length {plan.n}")
-    batch = np.empty((m * m, n), dtype=np.complex128)
-    batch[:] = arr.reshape(n, m * m).T
-    _kernel.fft_batch(batch, plan.conj_roots if conj else plan.roots, plan.bitrev)
-    return np.ascontiguousarray(batch.T).reshape(n, m, m)
-
-
-def block_idft(plan: FourierPlan, v: BlockVector) -> BlockVector:
-    """(F (x) I_m) applied to a block-vector: m*m scalar IDFTs."""
-    return BlockVector._wrap(_transform_stack(v.data, plan, conj=False))
-
-
-def block_dft(plan: FourierPlan, v: BlockVector) -> BlockVector:
-    """(1/n)(F^H (x) I_m) applied to a block-vector."""
-    out = _transform_stack(v.data, plan, conj=True)
-    out *= 1.0 / plan.n
-    return BlockVector._wrap(out)
-
-
-class EpsilonScaling:
-    """Diagonal scaling diag(theta**k), theta the principal n-th root of epsilon.
-
-    The principal branch is used: epsilon = rho * exp(1j*phi) with
-    phi in (-pi, pi] gives theta = rho**(1/n) * exp(1j*phi/n).  Forward and
-    inverse powers are precomputed directly so each pair multiplies to 1 to
-    machine accuracy.
+    The input is cropped or zero-padded to n along axis 0.  With ``real``,
+    the forward transform takes a real stack to its n//2 + 1 leading
+    frequencies, and the inverse takes those frequencies back to n real
+    blocks.
     """
-
-    __slots__ = ("epsilon", "n", "theta", "powers", "inv_powers")
-
-    def __init__(self, epsilon: complex, n: int):
-        epsilon = complex(epsilon)
-        if epsilon == 0:
-            raise ValueError("epsilon must be nonzero (its n-th root scales the blocks)")
-        self.epsilon = epsilon
-        self.n = n
-        w = (math.log(abs(epsilon)) + 1j * cmath.phase(epsilon)) / n
-        k = np.arange(n)
-        self.theta = complex(cmath.exp(w))
-        self.powers = np.exp(k * w)
-        self.inv_powers = np.exp(-k * w)
-
-
-def scale(es: EpsilonScaling, v: BlockVector, direction: str) -> BlockVector:
-    """Multiply block k by theta**k (``"forward"``) or theta**-k (``"inverse"``)."""
-    if v.n != es.n:
-        raise ValueError(f"block-vector length {v.n} does not match scaling length {es.n}")
-    if direction == "forward":
-        mult = es.powers
-    elif direction == "inverse":
-        mult = es.inv_powers
+    if real:
+        fn = np.fft.irfft if inverse else np.fft.rfft
     else:
-        raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-    return BlockVector._wrap(v.data * mult[:, None, None])
+        fn = np.fft.ifft if inverse else np.fft.fft
+    return fn(stack, n, axis=0)

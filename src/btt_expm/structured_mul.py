@@ -1,12 +1,18 @@
 """Fast products with block-circulant and block-triangular block-Toeplitz
-matrices.
+matrices, all through one primitive: the block convolution
+c_k = sum_j u_j @ x_{k-j}, computed as an elementwise product of block
+transforms.
 
-A block-circulant times a block-vector costs two forward block transforms,
-n small matrix products in the transformed domain, and one inverse block
-transform.  The triangular product embeds into a circulant of twice the
-length; matrix-matrix products in either algebra reduce to a matrix-vector
-product with the reversed operand (the last block-column of the structured
-matrix is the reversed first block-row).
+* Two triangular block-Toeplitz matrices multiply to the one whose first
+  block-row is the causal convolution of theirs: transform at length 2n (no
+  wrap-around can reach the first n blocks) and keep n blocks.
+* Two block-circulants multiply to the one whose first block-row is the
+  circular convolution of theirs, at length n.
+* A structured matrix times a block-vector is a correlation, which is the
+  convolution with the reversed vector, reversed back.
+
+Real operands take the real transforms and give a real result by
+construction; complex operands take the complex ones.
 """
 
 from __future__ import annotations
@@ -14,8 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .block_linalg import BlockVector
-from .errors import NumericalError
-from .fft_transforms import get_plan, _transform_stack
+from .fft_transforms import _transform_stack
 
 __all__ = [
     "circulant_times_vector",
@@ -24,83 +29,51 @@ __all__ = [
     "circulant_times_circulant",
 ]
 
-_IMAG_TOL = 1e-10
-
 
 def _check_pair(u: BlockVector, x: BlockVector) -> None:
     if u.n != x.n or u.m != x.m:
         raise ValueError(
             f"operand shapes differ: (n={u.n}, m={u.m}) vs (n={x.n}, m={x.m})")
-    if u.n & (u.n - 1):
-        raise ValueError(f"block length must be a power of two, got {u.n}")
 
 
-def _discard_imag(arr: np.ndarray) -> np.ndarray:
-    """Drop the imaginary roundoff of a result known to be real, or raise."""
-    worst = float(np.abs(arr.imag).max())
-    if worst > _IMAG_TOL * (1.0 + float(np.abs(arr.real).max())):
-        raise NumericalError(
-            f"result of a real structured product has imaginary content {worst:.3e}")
-    return np.ascontiguousarray(arr.real)
+def _convolve(u: np.ndarray, x: np.ndarray, length: int) -> np.ndarray:
+    # length 2n: causal (triangular) convolution in the first n blocks;
+    # length n: circular (circulant) convolution
+    real = u.dtype.kind == "f" and x.dtype.kind == "f"
+    w = _transform_stack(u, length, real=real) @ _transform_stack(x, length, real=real)
+    return _transform_stack(w, length, inverse=True, real=real)
 
 
-def _circ_mul(u: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
-    # first-block-row semantics: with V the transformed row, the matrix acts
-    # on a stacked vector as (1/n) F (x) I . blockdiag(V) . F^H (x) I
-    plan = get_plan(n)
-    v = _transform_stack(u, plan, conj=False)
-    z = _transform_stack(x, plan, conj=True)
-    w = v @ z
-    y = _transform_stack(w, plan, conj=False)
-    y *= 1.0 / n
-    return y
-
-
-def _btt_mul(u: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
-    # embed into the 2n-circulant whose leading principal part is triangular
-    m = u.shape[1]
-    ut = np.zeros((2 * n, m, m), dtype=np.complex128)
-    xt = np.zeros((2 * n, m, m), dtype=np.complex128)
-    ut[:n] = u
-    xt[:n] = x
-    return _circ_mul(ut, xt, 2 * n)[:n]
-
-
-def _finalize(y: np.ndarray, real_inputs: bool) -> BlockVector:
-    if real_inputs:
-        return BlockVector._wrap(_discard_imag(y))
-    return BlockVector._wrap(y)
+def _circ_reverse(x: np.ndarray) -> np.ndarray:
+    # x_{-k mod n}
+    return np.roll(x[::-1], 1, axis=0)
 
 
 def circulant_times_vector(u: BlockVector, x: BlockVector) -> BlockVector:
     """Product of the block-circulant matrix with first block-row ``u`` and the
     block-vector ``x``."""
     _check_pair(u, x)
-    y = _circ_mul(u.data, x.data, u.n)
-    return _finalize(y, u.is_real and x.is_real)
+    y = _convolve(u.data, _circ_reverse(x.data), u.n)
+    return BlockVector._wrap(_circ_reverse(y))
 
 
 def btt_times_vector(u: BlockVector, x: BlockVector) -> BlockVector:
     """Product of the upper-triangular block-Toeplitz matrix with first
     block-row ``u`` and the block-vector ``x``."""
     _check_pair(u, x)
-    y = _btt_mul(u.data, x.data, u.n)
-    return _finalize(y, u.is_real and x.is_real)
+    y = _convolve(u.data, x.data[::-1], 2 * u.n)[: u.n]
+    return BlockVector._wrap(y[::-1])
 
 
 def btt_times_btt(u: BlockVector, x: BlockVector) -> BlockVector:
     """First block-row of the product of two upper-triangular block-Toeplitz
     matrices given by their first block-rows."""
     _check_pair(u, x)
-    yh = _btt_mul(u.data, x.data[::-1], u.n)
-    y = np.ascontiguousarray(yh[::-1])
-    return _finalize(y, u.is_real and x.is_real)
+    return BlockVector._wrap(_convolve(u.data, x.data, 2 * u.n)[: u.n].copy())
 
 
 def circulant_times_circulant(u: BlockVector, x: BlockVector) -> BlockVector:
     """First block-row of the product of two block-circulant matrices given by
     their first block-rows."""
     _check_pair(u, x)
-    yh = _circ_mul(u.data, x.data[::-1], u.n)
-    y = np.ascontiguousarray(yh[::-1])
-    return _finalize(y, u.is_real and x.is_real)
+    return BlockVector._wrap(_convolve(u.data, x.data, u.n))

@@ -69,6 +69,23 @@ def dense_eps_circulant(blocks, epsilon):
     return out
 
 
+def scalar_btt_expm(a):
+    """First row of the exponential of the scalar (m = 1) upper-triangular
+    Toeplitz matrix with first row ``a``: the power-series exponential
+    b_0 = exp(a_0), k * b_k = sum_{j=1..k} j * a_j * b_{k-j}.
+
+    For a subgenerator every a_j with j >= 1 is nonnegative, so every term is
+    nonnegative and the recurrence is accurate entry by entry.  O(n^2)."""
+    a = np.asarray(a, dtype=float).ravel()
+    n = len(a)
+    ja = np.arange(n) * a
+    b = np.zeros(n)
+    b[0] = np.exp(a[0])
+    for k in range(1, n):
+        b[k] = np.dot(ja[1:k + 1], b[k - 1::-1]) / k
+    return b.reshape(n, 1, 1)
+
+
 def first_block_row(mat, n, m):
     """(n, m, m) stack of the blocks in the first block-row of a dense matrix."""
     return np.stack([mat[:m, j * m:(j + 1) * m] for j in range(n)])

@@ -19,7 +19,7 @@ from btt_expm.dense_expm import (assemble_btt_dense, expm_dense_oracle,
 from btt_expm.exp_btt import (exp_btt_embedding, exp_btt_eps,
                               exp_btt_eps_averaged, exp_btt_taylor,
                               scaling_exponent, select_epsilon)
-from btt_expm.fft_transforms import dft, get_plan, idft
+from btt_expm.fft_transforms import _transform_stack
 from btt_expm.model_gen import banded_subgenerator, random_subgenerator
 from btt_expm.structured_mul import btt_times_vector, circulant_times_vector
 from btt_expm import error_analysis as ea
@@ -221,9 +221,29 @@ def test_scaling_benchmarks():
             best = min(best, time.perf_counter() - start)
         return best
 
+    def median_times(calls, min_total=0.1):
+        # Each call's median over repeats filling min_total seconds: the
+        # structured calls take milliseconds, and a best-of-3 ratio of such
+        # times is mostly noise.  The calls take turns, round after round,
+        # because the machine's speed drifts in phases of a few tenths of a
+        # second; taking turns lets every size see the same phases.
+        samples = [[] for _ in calls]
+        while any(len(s) < 3 or sum(s) < min_total for s in samples):
+            for fn, s in zip(calls, samples):
+                start = time.perf_counter()
+                fn()
+                s.append(time.perf_counter() - start)
+        return [float(np.median(s)) for s in samples]
+
     n_list = [256, 512, 1024, 2048]
     dense_cap = 2048
-    times = {name: [] for name in ("epc", "emb", "taylor")}
+    specs = [random_subgenerator(n, 2, seed=n, alpha_target=2.0) for n in n_list]
+    calls = {"epc": [], "emb": [], "taylor": []}
+    for spec in specs:
+        eps = select_epsilon(spec.scaled(scaling_exponent(spec)))
+        calls["epc"].append(lambda spec=spec, eps=eps: exp_btt_eps(spec, eps))
+        calls["emb"].append(lambda spec=spec: exp_btt_embedding(spec, 4 * spec.n))
+        calls["taylor"].append(lambda spec=spec: exp_btt_taylor(spec, 1e-15))
     dense_times = []
     with threadpool_limits(limits=1):
         warm = random_subgenerator(128, 2, seed=1, alpha_target=2.0)
@@ -231,16 +251,13 @@ def test_scaling_benchmarks():
         exp_btt_embedding(warm, 512)
         exp_btt_taylor(warm, 1e-15)
         expm_dense_oracle(warm, cap=dense_cap)
-        for n in n_list:
-            spec = random_subgenerator(n, 2, seed=n, alpha_target=2.0)
-            eps = select_epsilon(spec.scaled(scaling_exponent(spec)))
-            times["epc"].append(best_time(lambda: exp_btt_eps(spec, eps), 3))
-            times["emb"].append(best_time(lambda: exp_btt_embedding(spec, 4 * n), 3))
-            times["taylor"].append(best_time(lambda: exp_btt_taylor(spec, 1e-15), 3))
+        for n, spec in zip(n_list, specs):
             if n * 2 <= dense_cap:
                 dense_times.append(best_time(
                     lambda: expm_dense_oracle(spec, cap=dense_cap),
                     3 if n <= 512 else 2))
+        medians = iter(median_times([fn for name in calls for fn in calls[name]]))
+        times = {name: [next(medians) for _ in n_list] for name in calls}
 
     worst_structured = 0.0
     for name in ("epc", "emb", "taylor"):
@@ -274,14 +291,16 @@ def test_fft_and_product_micro_suite():
     worst_rt = 0.0
     for q in range(15):
         n = 2 ** q
-        plan = get_plan(n)
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        back = dft(plan, idft(plan, x))
+        x = rng.standard_normal((n, 1, 1)) + 1j * rng.standard_normal((n, 1, 1))
+        back = _transform_stack(_transform_stack(x, n), n, inverse=True)
         worst_rt = max(worst_rt, float(np.abs(back - x).max() / np.abs(x).max()))
+        back = _transform_stack(_transform_stack(x.real, n, real=True), n,
+                                inverse=True, real=True)
+        worst_rt = max(worst_rt, float(np.abs(back - x.real).max() / np.abs(x.real).max()))
     _report("transform round-trip identity up to length 2**14", worst_rt, 1e-13)
 
     worst_prod = 0.0
-    for n in (1, 2, 4, 8, 16, 32):
+    for n in (1, 2, 4, 8, 16, 32, 3, 6, 12):
         for m in (1, 2, 3):
             u = BlockVector(rng.standard_normal((n, m, m)))
             x = BlockVector(rng.standard_normal((n, m, m)))
@@ -293,5 +312,5 @@ def test_fft_and_product_micro_suite():
             tri = btt_times_vector(u, x).data
             ref_t = (dense_btt(u.data) @ stacked).reshape(n, m, m)
             worst_prod = max(worst_prod, float(np.abs(tri - ref_t).max() / scale))
-    _report("structured products vs dense assembly, n <= 32, m <= 3",
+    _report("structured products vs dense assembly, n <= 32 (any length), m <= 3",
             worst_prod, 1e-12)

@@ -10,11 +10,14 @@ from btt_expm.errors import NumericalError
 from btt_expm.exp_btt import (MethodConfig, compute_exponential,
                               exp_btt_embedding, exp_btt_eps,
                               exp_btt_eps_averaged, exp_btt_taylor,
-                              repeated_squaring, scaling_exponent,
-                              select_embedding_K, select_epsilon)
-from btt_expm.model_gen import random_subgenerator
+                              embedding_tail_bound, repeated_squaring,
+                              scaling_exponent, select_embedding_K,
+                              select_epsilon)
+from btt_expm.model_gen import banded_subgenerator, random_subgenerator
 from btt_expm.structured_mul import btt_times_btt
 from btt_expm import error_analysis as ea
+
+from oracles import scalar_btt_expm
 
 MU = float(np.finfo(np.float64).eps)
 
@@ -175,10 +178,58 @@ class TestEmbeddingMethod:
         nw = error_report(res.y, ref).nw_abs
         assert nw <= res.predicted_bounds["tail"] + 1e-13
 
+    def test_reported_tail_is_the_minimized_bound(self):
+        spec = random_subgenerator(6, 2, seed=6, alpha_target=3.0)
+        res = exp_btt_embedding(spec, 20)
+        scaled = spec.scaled(res.scaling_p)
+        assert res.method_used.K == 32
+        assert res.predicted_bounds["tail"] == embedding_tail_bound(scaled, 32)
+        grid = 1.0 + np.geomspace(1e-3, 99.0, 80)
+        assert res.predicted_bounds["tail"] <= min(
+            ea.embedding_bound_fK(scaled.alpha, scaled.l_norm, 6, 32, s) for s in grid)
+
+    def test_tail_bound_finite_at_large_n(self):
+        # at n = 8192 the factors sigma**(n-1) and sigma**-(K-n) overflow and
+        # underflow on every sigma of a fixed grid; their product does not
+        spec = banded_subgenerator(8192, 2, 4, seed=0, alpha_target=200.0)
+        scaled = spec.scaled(scaling_exponent(spec))
+        K = select_embedding_K(scaled, 1e-12)
+        assert K == 262144
+        bound = embedding_tail_bound(scaled, K)
+        assert math.isfinite(bound)
+        assert bound <= 1e-12
+
     def test_K_below_n_rejected(self):
         spec = random_subgenerator(4, 2, seed=3)
         with pytest.raises(ValueError):
             exp_btt_embedding(spec, 3)
+
+
+class TestLargeScalarOracle:
+    """m = 1 at n = 4096, against the exact power-series recurrence: products
+    and transforms at lengths no dense oracle reaches."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        spec = banded_subgenerator(4096, 1, 4, seed=5, alpha_target=20.0)
+        return spec, BlockVector(scalar_btt_expm(spec.u.data))
+
+    def test_recurrence_matches_dense_oracle(self):
+        spec = banded_subgenerator(64, 1, 4, seed=3, alpha_target=3.0)
+        ref = expm_dense_oracle(spec)
+        assert error_report(BlockVector(scalar_btt_expm(spec.u.data)), ref).nw_rel <= 1e-14
+
+    def test_taylor(self, case):
+        spec, ref = case
+        assert error_report(exp_btt_taylor(spec, 1e-15).y, ref).nw_rel <= 1e-12
+
+    def test_embedding(self, case):
+        spec, ref = case
+        p = scaling_exponent(spec)
+        res = exp_btt_embedding(spec, select_embedding_K(spec.scaled(p), 1e-14))
+        assert res.scaling_p == p > 0
+        assert error_report(res.y, ref).nw_rel <= 1e-12
+        assert res.predicted_bounds["tail"] <= 1e-14
 
 
 class TestTaylorMethod:

@@ -57,10 +57,6 @@ class TestExpEpsCirculant:
             exp_eps_circulant(u, 2.0)
         exp_eps_circulant(u, 2.0, allow_large_eps=True)
 
-    def test_non_power_of_two_rejected(self):
-        with pytest.raises(ValueError, match="power of two"):
-            exp_eps_circulant(random_bv(6, 1, 0), 0.5)
-
 
 class TestExpCirculant:
     def test_single_block(self):
@@ -82,6 +78,16 @@ class TestExpCirculant:
         ref = first_block_row(expm_small(dense_circulant(u.data)), 4, 2)
         nw = np.abs(out.data - ref).sum(axis=(0, 2)).max()
         assert nw <= 1e-11 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n", [5, 7, 12])
+    def test_real_half_spectrum_matches_dense(self, n):
+        # only n//2 + 1 frequencies are exponentiated; the real inverse
+        # transform must restore the whole row, odd lengths included
+        spec = random_subgenerator(n, 2, seed=30 + n, alpha_target=2.0)
+        out = exp_circulant(spec.u)
+        assert out.is_real
+        ref = first_block_row(expm_small(dense_circulant(spec.u.data)), n, 2)
+        assert np.abs(out.data - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_agrees_with_eps_variant_at_one(self):
         spec = random_subgenerator(8, 2, seed=6)

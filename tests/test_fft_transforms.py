@@ -1,200 +1,242 @@
+import cmath
+
 import numpy as np
 import pytest
 
+from btt_expm import exp_circulant as exp_circulant_module
 from btt_expm.block_linalg import BlockVector
-from btt_expm.fft_transforms import (EpsilonScaling, FourierPlan, block_dft,
-                                     block_idft, dft, get_plan, idft,
-                                     kernel_name, scale)
+from btt_expm.dense_expm import expm_small
+from btt_expm.exp_circulant import exp_circulant, exp_eps_circulant
+from btt_expm.fft_transforms import _transform_stack
 
-from oracles import direct_dft, direct_idft, kron_transform_matrix
+from oracles import (dense_eps_circulant, direct_dft, direct_idft,
+                     first_block_row, kron_transform_matrix)
+
+# numpy's conventions: fft(x) = n * direct_dft(x), ifft(x) = direct_idft(x) / n
+
+
+def fwd(x, n=None):
+    x = np.asarray(x, dtype=np.complex128)
+    return _transform_stack(x.reshape(-1, 1, 1), n or len(x)).ravel()
+
+
+def inv(x, n=None):
+    x = np.asarray(x, dtype=np.complex128)
+    return _transform_stack(x.reshape(-1, 1, 1), n or len(x), inverse=True).ravel()
 
 
 class TestPlan:
-    def test_rejects_non_power_of_two(self):
-        for n in (0, 3, 6, 12):
-            with pytest.raises(ValueError):
-                FourierPlan(n)
-
+    # numpy builds and caches its own transform plans; what a plan must get
+    # right is checked through the transform
     @pytest.mark.parametrize("n", [1, 2, 8, 64])
     def test_roots_on_unit_circle(self, n):
-        plan = FourierPlan(n)
-        assert np.abs(np.abs(plan.roots) - 1.0).max() <= 1e-15
-
-    def test_plan_cache(self):
-        assert get_plan(16) is get_plan(16)
+        # the transform of the unit impulse at index 1 lists the roots of unity
+        x = np.zeros(n)
+        x[min(1, n - 1)] = 1.0
+        roots = fwd(x)
+        assert np.abs(np.abs(roots) - 1.0).max() <= 1e-15
+        expect = np.exp(-2j * np.pi * np.arange(n) * min(1, n - 1) / n)
+        assert np.abs(roots - expect).max() <= 1e-15
 
 
 class TestScalarTransforms:
     def test_idft_unit_vector_gives_ones(self):
-        plan = get_plan(8)
         x = np.zeros(8)
         x[0] = 1.0
-        np.testing.assert_allclose(idft(plan, x), np.ones(8), atol=1e-15)
+        np.testing.assert_allclose(inv(x) * 8, np.ones(8), atol=1e-15)
 
     def test_idft_ones_n2(self):
-        plan = get_plan(2)
-        np.testing.assert_allclose(idft(plan, np.ones(2)), [2.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(inv(np.ones(2)) * 2, [2.0, 0.0], atol=1e-15)
 
     def test_dft_ones_gives_unit_vector(self):
-        plan = get_plan(8)
-        out = dft(plan, np.ones(8))
+        out = fwd(np.ones(8)) / 8
         expect = np.zeros(8)
         expect[0] = 1.0
         np.testing.assert_allclose(out, expect, atol=1e-15)
 
     def test_idft_matches_direct_evaluation(self):
         rng = np.random.default_rng(3)
-        plan = get_plan(8)
         x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        ref = direct_idft(x)
-        assert np.abs(idft(plan, x) - ref).max() <= 1e-13 * np.abs(ref).max()
+        ref = direct_idft(x) / 8
+        assert np.abs(inv(x) - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_dft_matches_direct_evaluation(self):
         rng = np.random.default_rng(4)
-        plan = get_plan(8)
         x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        ref = direct_dft(x)
-        assert np.abs(dft(plan, x) - ref).max() <= 1e-13 * np.abs(x).max()
+        ref = direct_dft(x) * 8
+        assert np.abs(fwd(x) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 8, 12])
+    def test_real_transforms_match_direct_evaluation(self, n):
+        rng = np.random.default_rng(30 + n)
+        x = rng.standard_normal(n)
+        half = _transform_stack(x.reshape(n, 1, 1), n, real=True).ravel()
+        ref = n * direct_dft(x)
+        assert half.shape == (n // 2 + 1,)
+        assert np.abs(half - ref[: n // 2 + 1]).max() <= 1e-13 * np.abs(ref).max()
+        # the inverse reads only the leading half of a Hermitian spectrum
+        back = _transform_stack(ref[: n // 2 + 1].reshape(-1, 1, 1), n,
+                                inverse=True, real=True).ravel()
+        assert back.dtype.kind == "f"
+        expect = direct_idft(ref) / n
+        assert np.abs(back - expect).max() <= 1e-13 * np.abs(x).max()
 
     @pytest.mark.parametrize("q", range(15))
     def test_round_trip_identity(self, q):
         n = 2 ** q
         rng = np.random.default_rng(q)
-        plan = get_plan(n)
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        back = dft(plan, idft(plan, x))
+        back = inv(fwd(x))
         assert np.abs(back - x).max() <= 1e-13 * np.abs(x).max()
+        xr = x.real.reshape(n, 1, 1)
+        back_r = _transform_stack(_transform_stack(xr, n, real=True), n,
+                                  inverse=True, real=True)
+        assert np.abs(back_r - xr).max() <= 1e-13 * np.abs(xr).max()
 
     @pytest.mark.parametrize("q", [0, 3, 8, 12])
     def test_parseval(self, q):
         n = 2 ** q
         rng = np.random.default_rng(40 + q)
-        plan = get_plan(n)
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        lhs = np.linalg.norm(idft(plan, x))
+        lhs = np.linalg.norm(fwd(x))
         rhs = np.sqrt(n) * np.linalg.norm(x)
         assert abs(lhs - rhs) <= 1e-12 * rhs
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            idft(get_plan(4), np.ones(5))
-        with pytest.raises(ValueError):
-            dft(get_plan(4), np.ones(2))
+        # a transform length above the input length zero-pads it: the
+        # triangular products rely on this
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+        padded = np.concatenate([x, np.zeros(3)])
+        np.testing.assert_allclose(fwd(x, 8), 8 * direct_dft(padded), atol=1e-13)
 
 
 class TestBlockTransforms:
     def test_zero_blocks(self):
-        plan = get_plan(4)
-        v = BlockVector(np.zeros((4, 2, 2)))
-        assert np.abs(block_idft(plan, v).data).max() == 0.0
-        assert np.abs(block_dft(plan, v).data).max() == 0.0
+        v = np.zeros((4, 2, 2))
+        for real in (False, True):
+            assert np.abs(_transform_stack(v, 4, real=real)).max() == 0.0
+            assert np.abs(_transform_stack(v.astype(complex), 4, inverse=True,
+                                           real=real)).max() == 0.0
 
     def test_m1_reduces_to_scalar_transform(self):
         rng = np.random.default_rng(5)
-        plan = get_plan(8)
         x = rng.standard_normal(8)
-        v = BlockVector(x.reshape(8, 1, 1))
-        np.testing.assert_allclose(block_idft(plan, v).data.ravel(),
-                                   idft(plan, x), atol=1e-14)
-        np.testing.assert_allclose(block_dft(plan, v).data.ravel(),
-                                   dft(plan, x), atol=1e-14)
+        v = x.reshape(8, 1, 1)
+        np.testing.assert_allclose(_transform_stack(v, 8, inverse=True).ravel(),
+                                   direct_idft(x) / 8, atol=1e-14)
+        np.testing.assert_allclose(_transform_stack(v, 8).ravel(),
+                                   8 * direct_dft(x), atol=1e-14)
 
     def test_matches_dense_kronecker(self):
         rng = np.random.default_rng(6)
         n, m = 4, 2
-        plan = get_plan(n)
         arr = rng.standard_normal((n, m, m)) + 1j * rng.standard_normal((n, m, m))
         big = kron_transform_matrix(n, m)
         stacked = arr.reshape(n * m, m)
-        ref = (big @ stacked).reshape(n, m, m)
-        out = block_idft(plan, BlockVector(arr)).data
+        ref = (big @ stacked).reshape(n, m, m) / n
+        out = _transform_stack(arr, n, inverse=True)
         assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
-        ref_dft = (big.conj().T @ stacked).reshape(n, m, m) / n
-        out_dft = block_dft(plan, BlockVector(arr)).data
-        assert np.abs(out_dft - ref_dft).max() <= 1e-13 * np.abs(arr).max()
+        ref_fwd = (big.conj().T @ stacked).reshape(n, m, m)
+        out_fwd = _transform_stack(arr, n)
+        assert np.abs(out_fwd - ref_fwd).max() <= 1e-13 * np.abs(ref_fwd).max()
 
     def test_commutes_with_entry_selection(self):
         rng = np.random.default_rng(7)
-        n, m = 8, 3
-        plan = get_plan(n)
-        arr = rng.standard_normal((n, m, m))
-        out = block_idft(plan, BlockVector(arr)).data
-        for r in range(m):
-            for s in range(m):
-                np.testing.assert_allclose(out[:, r, s], idft(plan, arr[:, r, s]),
-                                           atol=1e-13)
+        m = 3
+        for n in (7, 8):
+            arr = rng.standard_normal((n, m, m))
+            out = _transform_stack(arr, n, real=True)
+            assert out.shape == (n // 2 + 1, m, m)
+            for r in range(m):
+                for s in range(m):
+                    np.testing.assert_allclose(
+                        out[:, r, s], n * direct_dft(arr[:, r, s])[: n // 2 + 1],
+                        atol=1e-13)
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            block_idft(get_plan(4), BlockVector(np.zeros((8, 1, 1))))
+        # zero-padding to a longer transform, and the real inverse returning
+        # exactly the requested number of blocks
+        rng = np.random.default_rng(8)
+        arr = rng.standard_normal((4, 2, 2))
+        padded = np.concatenate([arr, np.zeros((4, 2, 2))])
+        half = _transform_stack(arr, 8, real=True)
+        np.testing.assert_allclose(half, _transform_stack(padded, 8, real=True),
+                                   atol=1e-14)
+        back = _transform_stack(half, 8, inverse=True, real=True)
+        assert back.shape == (8, 2, 2)
+        np.testing.assert_allclose(back, padded, atol=1e-14)
 
 
 class TestEpsilonScaling:
+    # the theta**k scaling inside exp_eps_circulant, theta = epsilon**(1/n)
     @pytest.mark.parametrize("eps", [1.0, 0.5, 1e-2j, -0.3, 0.1 + 0.2j, 1e-8j])
     def test_theta_power_recovers_epsilon(self, eps):
-        es = EpsilonScaling(eps, 8)
-        assert abs(es.theta ** 8 - eps) <= 1e-13 * abs(eps)
+        # the fast path agrees with the dense eps-circulant exponential only
+        # if theta**n equals epsilon; roundoff grows like |eps|**-(n-1)/n
+        n, m = 8, 2
+        rng = np.random.default_rng(11)
+        u = 0.5 * rng.standard_normal((n, m, m))
+        ref = first_block_row(expm_small(dense_eps_circulant(u, eps)), n, m)
+        out = exp_eps_circulant(BlockVector(u), eps).data
+        assert np.abs(out - ref).max() <= 1e-13 * max(1.0, abs(eps) ** (-(n - 1) / n))
 
     @pytest.mark.parametrize("eps", [1.0, 1e-4, 1e-8, 1e-2j, -0.7 + 0.1j])
     def test_powers_times_inverse_powers(self, eps):
-        es = EpsilonScaling(eps, 16)
-        assert np.abs(es.powers * es.inv_powers - 1.0).max() <= 1e-13
+        # exp of c times the eps-shift Z (Z**n = eps I) has first row
+        # sum_j eps**j c**(k + j n) / (k + j n)!; any mismatch between the
+        # forward powers and the inverse ones shows up block by block
+        n, c = 16, 1.5
+        arr = np.zeros((n, 1, 1))
+        arr[1] = c
+        out = exp_eps_circulant(BlockVector(arr), eps).data.ravel()
+        k = np.arange(n)
+        fact = np.cumprod(np.concatenate([[1.0], np.arange(1.0, 2 * n)]))
+        expect = c ** k / fact[k] + eps * c ** (k + n) / fact[k + n]
+        assert np.abs(out - expect).max() <= 1e-14 * max(1.0, abs(eps) ** (-(n - 1) / n))
 
     def test_unit_epsilon_is_identity(self):
-        es = EpsilonScaling(1.0, 8)
-        v = BlockVector(np.random.default_rng(8).standard_normal((8, 2, 2)))
-        np.testing.assert_allclose(scale(es, v, "forward").data, v.data, atol=0)
+        # theta = 1 leaves the blocks as they are: the plain circulant result
+        u = BlockVector(np.random.default_rng(8).standard_normal((8, 2, 2)))
+        out = exp_eps_circulant(u, 1.0).data
+        assert np.abs(out.imag).max() <= 1e-14
+        np.testing.assert_allclose(out.real, exp_circulant(u).data, rtol=1e-13,
+                                   atol=1e-15)
 
     @pytest.mark.parametrize("eps", [1e-8, 1e-4, 1.0, 1e-2j])
     def test_forward_then_inverse_is_identity(self, eps):
+        # exp(C_eps) = D**-1 exp(C) D with D = diag(theta**k) and C the
+        # circulant of the scaled blocks theta**k u_k
         rng = np.random.default_rng(9)
-        es = EpsilonScaling(eps, 8)
-        v = BlockVector(rng.standard_normal((8, 2, 2)))
-        back = scale(es, scale(es, v, "forward"), "inverse").data
-        assert np.abs(back - v.data).max() <= 1e-13
+        n = 8
+        u = rng.standard_normal((n, 2, 2))
+        theta = abs(eps) ** (1.0 / n) * cmath.exp(1j * cmath.phase(eps) / n)
+        powers = theta ** np.arange(n)
+        scaled = exp_circulant(BlockVector(u * powers[:, None, None])).data
+        out = exp_eps_circulant(BlockVector(u), eps).data
+        expect = scaled / powers[:, None, None]
+        amplification = max(1.0, abs(eps) ** (-(n - 1) / n))
+        assert np.abs(out - expect).max() <= 1e-13 * amplification * np.abs(expect).max()
 
-    def test_ones_blocks_pick_up_theta_powers(self):
-        # principal branch by polar exponentiation, checked per block
+    def test_ones_blocks_pick_up_theta_powers(self, monkeypatch):
+        # principal branch by polar exponentiation: the blocks that reach the
+        # forward transform are theta**k
         n, eps = 4, 1e-2j
         rho, phi = abs(eps), np.angle(eps)
         theta = rho ** (1.0 / n) * np.exp(1j * phi / n)
-        es = EpsilonScaling(eps, n)
-        v = BlockVector(np.ones((n, 1, 1)))
-        out = scale(es, v, "forward").data.ravel()
-        np.testing.assert_allclose(out, theta ** np.arange(n), rtol=1e-13)
+        seen = []
+        real_transform = exp_circulant_module._transform_stack
+
+        def spy(stack, *args, **kwargs):
+            seen.append(np.array(stack))
+            return real_transform(stack, *args, **kwargs)
+
+        monkeypatch.setattr(exp_circulant_module, "_transform_stack", spy)
+        exp_eps_circulant(BlockVector(np.ones((n, 1, 1))), eps)
+        np.testing.assert_allclose(seen[0].ravel(), theta ** np.arange(n), rtol=1e-13)
 
     def test_zero_epsilon_rejected(self):
+        # no n-th root scales the blocks, even past the |eps| <= 1 check
+        u = BlockVector(np.ones((4, 1, 1)))
         with pytest.raises(ValueError):
-            EpsilonScaling(0.0, 4)
-
-    def test_bad_direction(self):
-        es = EpsilonScaling(0.5, 4)
-        v = BlockVector(np.ones((4, 1, 1)))
-        with pytest.raises(ValueError):
-            scale(es, v, "sideways")
-
-    def test_length_mismatch(self):
-        es = EpsilonScaling(0.5, 4)
-        with pytest.raises(ValueError):
-            scale(es, BlockVector(np.ones((8, 1, 1))), "forward")
-
-
-class TestKernels:
-    def test_kernel_name_reported(self):
-        assert kernel_name() in ("compiled", "python")
-
-    def test_compiled_and_python_agree(self):
-        try:
-            from btt_expm import _fft_kernel
-        except ImportError:
-            pytest.skip("compiled kernel not built")
-        from btt_expm import _kernel_py
-        rng = np.random.default_rng(10)
-        for n in (2, 16, 256):
-            plan = get_plan(n)
-            data = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
-            a = np.ascontiguousarray(data)
-            b = a.copy()
-            _fft_kernel.fft_batch(a, plan.roots, plan.bitrev)
-            _kernel_py.fft_batch(b, plan.roots, plan.bitrev)
-            assert np.abs(a - b).max() <= 1e-13 * np.abs(a).max()
+            exp_eps_circulant(u, 0.0, allow_large_eps=True)

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from btt_expm.block_linalg import BlockVector
-from btt_expm.errors import NumericalError
-from btt_expm.structured_mul import (_discard_imag, btt_times_btt,
-                                     btt_times_vector, circulant_times_circulant,
+from btt_expm.structured_mul import (btt_times_btt, btt_times_vector,
+                                     circulant_times_circulant,
                                      circulant_times_vector)
 
 from oracles import dense_btt, dense_circulant, first_block_row
@@ -65,8 +64,8 @@ class TestIdentityCases:
 
 
 class TestDenseOracle:
-    # the acceptance micro-suite range: n <= 32, m <= 3
-    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32])
+    # the acceptance micro-suite range: n <= 32, m <= 3, any length
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32, 3, 6, 12])
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_products_match_dense_assembly(self, n, m):
         rng = np.random.default_rng(n * 7 + m)
@@ -127,12 +126,6 @@ class TestRealness:
         x = BlockVector(rng.standard_normal((4, 1, 1)))
         assert not circulant_times_vector(u, x).is_real
 
-    def test_discard_imag_raises_on_genuine_imaginary_content(self):
-        with pytest.raises(NumericalError, match="imaginary"):
-            _discard_imag(np.array([[[1.0 + 1e-3j]]]))
-        out = _discard_imag(np.array([[[1.0 + 1e-14j]]]))
-        assert out.dtype.kind == "f"
-
 
 class TestErrors:
     def test_shape_mismatch(self):
@@ -140,8 +133,3 @@ class TestErrors:
             circulant_times_vector(random_bv(4, 2, 0), random_bv(8, 2, 0))
         with pytest.raises(ValueError):
             btt_times_vector(random_bv(4, 2, 0), random_bv(4, 3, 0))
-
-    def test_non_power_of_two_rejected(self):
-        arr = np.random.default_rng(0).standard_normal((6, 2, 2))
-        with pytest.raises(ValueError, match="power of two"):
-            btt_times_btt(BlockVector(arr), BlockVector(arr))
