@@ -4,10 +4,18 @@ Two uses: the small-block exponentials inside the FFT-diagonalized methods,
 and the brute-force oracle that assembles the full structured matrix and
 exponentiates it for validation at moderate sizes.
 
-The kernel is scaling-and-squaring with a truncated Taylor sum: scale so the
-inf-norm is at most 1/2, sum terms until the next term is below machine
-epsilon relative to the running sum, square back.  For subgenerator input the
-oracle first shifts by alpha*I so every Taylor term is nonnegative and the
+The small-block kernel is scaling-and-squaring with a Taylor polynomial of
+fixed degree (Higham, SIMAX 26(4), 2005; Al-Mohy & Higham, SIMAX 31(3),
+2009): every block is scaled by a power of two to inf-norm at most 1/2, the
+degree-14 polynomial is evaluated by Horner's rule over the whole stack, and
+each block is squared back by its own number of steps.  The degree is the
+smallest whose truncation error is below machine epsilon at norm 1/2, so no
+term count is tested at run time.  The stack is processed in chunks of a
+fixed number of entries, which keeps the temporaries small; 1 x 1 blocks are
+the scalar exponential.
+
+The oracle keeps the convergence-tested Taylor sum.  For subgenerator input
+it first shifts by alpha*I so every Taylor term is nonnegative and the
 summation is cancellation-free, then folds exp(-alpha) into the squaring.
 """
 
@@ -24,12 +32,25 @@ __all__ = [
     "expm_small",
     "expm_dense_oracle",
     "assemble_btt_dense",
-    "assemble_circulant_dense",
-    "assemble_eps_circulant_dense",
 ]
 
 _MAX_TERMS = 200
 _MU = float(np.finfo(np.float64).eps)
+_CHUNK_ENTRIES = 2 ** 14
+_BROADCAST_MAX_M = 4  # above this, stacked matmul beats m broadcast multiply-adds
+
+
+def _fixed_degree() -> int:
+    """Smallest d with e^(1/2) (1/2)^(d+1) / (d+1)! <= mu: the Taylor
+    remainder bound at inf-norm 1/2."""
+    d = 1
+    while math.exp(0.5) * 0.5 ** (d + 1) / math.factorial(d + 1) > _MU:
+        d += 1
+    return d
+
+
+_DEGREE = _fixed_degree()
+_COEFFS = [1.0 / math.factorial(k) for k in range(_DEGREE + 1)]
 
 
 def _inf_norms(stack: np.ndarray) -> np.ndarray:
@@ -60,13 +81,47 @@ def _scaling_steps(norm: float) -> int:
     return int(math.ceil(math.log2(norm / 0.5)))
 
 
-def _expm_stack(a: np.ndarray) -> np.ndarray:
-    """exp of every matrix in an (N, m, m) stack, dtype preserved."""
-    s = np.array([_scaling_steps(v) for v in _inf_norms(a)], dtype=np.int64)
-    out = _taylor_stack(a / np.exp2(s.astype(np.float64))[:, None, None])
-    for step in range(int(s.max()) if s.size else 0):
+def _stack_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    m = x.shape[-1]
+    if m > _BROADCAST_MAX_M:
+        return x @ y
+    out = x[:, :, :1] * y[:, :1, :]
+    for k in range(1, m):
+        out += x[:, :, k:k + 1] * y[:, k:k + 1, :]
+    return out
+
+
+def _expm_chunk(a: np.ndarray) -> np.ndarray:
+    nstack, m, _ = a.shape
+    # smallest s >= 0 with norm / 2**s <= 1/2, exactly: norm = f * 2**e with
+    # f in [1/2, 1), so s = e when f == 1/2 and e + 1 otherwise
+    frac, expo = np.frexp(_inf_norms(a))
+    s = np.maximum(expo + (frac > 0.5), 0)
+    x = a * np.ldexp(1.0, -s)[:, None, None]
+    # Horner: r = c_d x + c_(d-1) I, then r = x r + c_k I for k = d-2 .. 0
+    r = x * _COEFFS[_DEGREE]
+    r.reshape(nstack, m * m)[:, ::m + 1] += _COEFFS[_DEGREE - 1]
+    for c in reversed(_COEFFS[:_DEGREE - 1]):
+        r = _stack_matmul(x, r)
+        r.reshape(nstack, m * m)[:, ::m + 1] += c
+    for step in range(int(s.max())):
         mask = s > step
-        out[mask] = out[mask] @ out[mask]
+        sub = r[mask]
+        r[mask] = _stack_matmul(sub, sub)
+    return r
+
+
+def _expm_stack(a: np.ndarray) -> np.ndarray:
+    """exp of every matrix in an (N, m, m) stack, in float64 or complex128
+    (complex input stays complex)."""
+    a = np.asarray(a)
+    out = np.empty(a.shape, dtype=np.result_type(a.dtype, np.float64))
+    nstack, m = a.shape[0], a.shape[-1]
+    if m == 1:
+        return np.exp(a, out=out)
+    chunk = max(1, _CHUNK_ENTRIES // (m * m))
+    for lo in range(0, nstack, chunk):
+        out[lo:lo + chunk] = _expm_chunk(a[lo:lo + chunk])
     return out
 
 
@@ -85,35 +140,10 @@ def expm_small(a) -> np.ndarray:
 def assemble_btt_dense(u: BlockVector) -> np.ndarray:
     """The full (n*m) x (n*m) upper-triangular block-Toeplitz matrix."""
     n, m = u.n, u.m
-    out = np.zeros((n * m, n * m), dtype=u.dtype)
-    for d in range(n):
-        for i in range(n - d):
-            out[i * m:(i + 1) * m, (i + d) * m:(i + d + 1) * m] = u.data[d]
-    return out
-
-
-def assemble_circulant_dense(u: BlockVector) -> np.ndarray:
-    """The full (n*m) x (n*m) block-circulant matrix."""
-    n, m = u.n, u.m
-    out = np.empty((n * m, n * m), dtype=u.dtype)
-    for i in range(n):
-        for j in range(n):
-            out[i * m:(i + 1) * m, j * m:(j + 1) * m] = u.data[(j - i) % n]
-    return out
-
-
-def assemble_eps_circulant_dense(u: BlockVector, epsilon: complex) -> np.ndarray:
-    """The full block-eps-circulant matrix: wrapped blocks scaled by epsilon."""
-    n, m = u.n, u.m
-    epsilon = complex(epsilon)
-    dtype = np.float64 if (u.is_real and epsilon.imag == 0) else np.complex128
-    eps = epsilon.real if dtype == np.float64 else epsilon
-    out = np.empty((n * m, n * m), dtype=dtype)
-    for i in range(n):
-        for j in range(n):
-            blk = u.data[j - i] if j >= i else eps * u.data[n + j - i]
-            out[i * m:(i + 1) * m, j * m:(j + 1) * m] = blk
-    return out
+    out = np.zeros((n, m, n, m), dtype=u.dtype)
+    i, j = np.triu_indices(n)
+    out[i, :, j, :] = u.data[j - i]
+    return out.reshape(n * m, n * m)
 
 
 def expm_dense_oracle(spec: SubgeneratorSpec, cap: int = 512, *,

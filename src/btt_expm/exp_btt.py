@@ -222,12 +222,13 @@ def exp_btt_embedding(spec: SubgeneratorSpec, K: int, use_scaling: bool = True,
     K2 = _next_pow2(K)
     p = scaling_exponent(spec) if use_scaling else 0
     sspec = spec.scaled(p)
-    embedded = BlockVector._wrap(_pad(sspec.u.data, K2))
-    s = exp_circulant(embedded, threads=threads)
+    s = exp_circulant(BlockVector._wrap(_pad(sspec.u.data, K2)), threads=threads)
     lead = _pad(s.data[: spec.n], _next_pow2(spec.n))
     y = _finish(lead, p, spec.n)
 
-    chi = ea.chi_bound(K2, spec.m, float(np.abs(embedded.data).max()), 1.0)
+    # the K-block embedding adds only zero blocks, so the unpadded row has
+    # the same max entry without another K-block temporary
+    chi = ea.chi_bound(K2, spec.m, float(np.abs(sspec.u.data).max()), 1.0)
     bounds = {
         "tail": embedding_tail_bound(sspec, K2),
         "roundoff": ea.circulant_roundoff_bound(chi, spec.m),

@@ -6,7 +6,8 @@ epsilon), so the exponential reduces to independent m x m exponentials in
 the transformed domain plus two block transforms.  A real circulant has a
 Hermitian spectrum, so only its n//2 + 1 leading frequencies are
 exponentiated and the real inverse transform restores the rest.  The small
-exponentials carry no ordering dependence and may be evaluated in parallel.
+exponentials are one call of the stacked kernel ``dense_expm._expm_stack``;
+they carry no ordering dependence and may be split across threads.
 """
 
 from __future__ import annotations
@@ -55,7 +56,8 @@ def exp_eps_circulant(u: BlockVector, epsilon: complex, *, threads: int = 1,
     log_theta = (math.log(abs(epsilon)) + 1j * cmath.phase(epsilon)) / n
     k = np.arange(n)[:, None, None]
     v = _transform_stack(u.data * np.exp(k * log_theta), n)
-    y = _transform_stack(_exp_blocks(v, threads), n, inverse=True)
+    v = _exp_blocks(v, threads)  # rebinding frees the transform before the inverse
+    y = _transform_stack(v, n, inverse=True)
     y *= np.exp(-k * log_theta)
     return BlockVector._wrap(y)
 
@@ -65,5 +67,5 @@ def exp_circulant(u: BlockVector, *, threads: int = 1) -> BlockVector:
     first block-row ``u``.  Real input yields a real result."""
     n = u.n
     v = _transform_stack(u.data, n, real=u.is_real)
-    return BlockVector._wrap(
-        _transform_stack(_exp_blocks(v, threads), n, inverse=True, real=u.is_real))
+    v = _exp_blocks(v, threads)  # rebinding frees the transform before the inverse
+    return BlockVector._wrap(_transform_stack(v, n, inverse=True, real=u.is_real))

@@ -32,10 +32,10 @@ _HEADER_RE = re.compile(r"^btt v1 n=(\d+) m=(\d+)$")
 def format_block_vector(v: BlockVector, comments: Iterable[str] = ()) -> str:
     if not v.is_real:
         raise ValueError("only real block vectors are serialized")
-    lines = [f"btt v1 n={v.n} m={v.m}"]
-    for block in v.data:
-        for row in block:
-            lines.append(" ".join(f"{x:.17g}" for x in row))
+    # one % over all values: a row template of m fields, one row per data line
+    row = " ".join(["%.17g"] * v.m)
+    body = "\n".join([row] * (v.n * v.m)) % tuple(v.data.ravel().tolist())
+    lines = [f"btt v1 n={v.n} m={v.m}", body]
     lines.extend(f"# {c}" for c in comments)
     return "\n".join(lines) + "\n"
 

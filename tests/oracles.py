@@ -93,11 +93,12 @@ def first_block_row(mat, n, m):
 
 def long_taylor_expm(a, terms=60, squarings=6):
     """Reference exponential: fixed-length Taylor sum on a/2**squarings,
-    then repeated squaring.  Independent of the package's adaptive kernel."""
+    then repeated squaring.  Independent of the package's kernel.  Accepts
+    one matrix or an (N, m, m) stack, each matrix exponentiated on its own."""
     a = np.asarray(a, dtype=np.complex128)
     b = a / 2.0 ** squarings
-    total = np.eye(a.shape[0], dtype=np.complex128)
-    term = np.eye(a.shape[0], dtype=np.complex128)
+    total = np.broadcast_to(np.eye(a.shape[-1], dtype=np.complex128), a.shape)
+    term = total
     for k in range(1, terms + 1):
         term = term @ b / k
         total = total + term

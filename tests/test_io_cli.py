@@ -49,6 +49,16 @@ class TestFileFormat:
         with pytest.raises(ParseError):
             read_block_vector("/definitely/not/here.btt")
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_format_matches_per_value_loop(self, m):
+        # the reference is the per-value f-string the format was defined by
+        extremes = [-0.0, 1e-300, 5e300, 2.0 ** -1074, np.pi, -1 / 3, 0.0, 1.0]
+        v = BlockVector(np.resize(extremes, 8 * m * m).reshape(8, m, m))
+        lines = [f"btt v1 n=8 m={m}"]
+        lines += [" ".join(f"{x:.17g}" for x in row) for block in v.data for row in block]
+        lines += ["# method=test"]
+        assert format_block_vector(v, ["method=test"]) == "\n".join(lines) + "\n"
+
     def test_complex_not_serialized(self):
         with pytest.raises(ValueError):
             format_block_vector(BlockVector(np.ones((1, 1, 1)) * 1j))
