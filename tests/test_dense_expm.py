@@ -59,6 +59,14 @@ class TestExpmSmall:
         with pytest.raises(ValueError):
             expm_small(np.array([[np.inf]]))
 
+    def test_stack_matches_single(self):
+        rng = np.random.default_rng(3)
+        stack = rng.standard_normal((5, 2, 2)) * 3.0
+        out = _expm_stack(stack)
+        for k in range(5):
+            np.testing.assert_allclose(out[k], expm_small(stack[k]),
+                                       rtol=1e-14, atol=1e-16)
+
     @pytest.mark.parametrize("complex_", [False, True])
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8])
     def test_stack_matches_long_taylor(self, m, complex_):
