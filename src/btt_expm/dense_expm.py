@@ -39,17 +39,9 @@ _MU = float(np.finfo(np.float64).eps)
 _CHUNK_ENTRIES = 2 ** 14
 _BROADCAST_MAX_M = 4  # above this, stacked matmul beats m broadcast multiply-adds
 
-
-def _fixed_degree() -> int:
-    """Smallest d with e^(1/2) (1/2)^(d+1) / (d+1)! <= mu: the Taylor
-    remainder bound at inf-norm 1/2."""
-    d = 1
-    while math.exp(0.5) * 0.5 ** (d + 1) / math.factorial(d + 1) > _MU:
-        d += 1
-    return d
-
-
-_DEGREE = _fixed_degree()
+# smallest d with e^(1/2) (1/2)^(d+1) / (d+1)! <= mu: the Taylor remainder
+# bound at inf-norm 1/2
+_DEGREE = 14
 _COEFFS = [1.0 / math.factorial(k) for k in range(_DEGREE + 1)]
 
 
@@ -92,18 +84,20 @@ def _stack_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _expm_chunk(a: np.ndarray) -> np.ndarray:
-    nstack, m, _ = a.shape
+    m = a.shape[-1]
     # smallest s >= 0 with norm / 2**s <= 1/2, exactly: norm = f * 2**e with
     # f in [1/2, 1), so s = e when f == 1/2 and e + 1 otherwise
     frac, expo = np.frexp(_inf_norms(a))
     s = np.maximum(expo + (frac > 0.5), 0)
     x = a * np.ldexp(1.0, -s)[:, None, None]
-    # Horner: r = c_d x + c_(d-1) I, then r = x r + c_k I for k = d-2 .. 0
+    # Horner: r = c_d x + c_(d-1) I, then r = x r + c_k I for k = d-2 .. 0;
+    # the diagonal is indexed, so the add holds for any memory layout of r
+    idx = np.arange(m)
     r = x * _COEFFS[_DEGREE]
-    r.reshape(nstack, m * m)[:, ::m + 1] += _COEFFS[_DEGREE - 1]
+    r[:, idx, idx] += _COEFFS[_DEGREE - 1]
     for c in reversed(_COEFFS[:_DEGREE - 1]):
         r = _stack_matmul(x, r)
-        r.reshape(nstack, m * m)[:, ::m + 1] += c
+        r[:, idx, idx] += c
     for step in range(int(s.max())):
         mask = s > step
         sub = r[mask]

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from btt_expm.block_linalg import BlockVector, validate_subgenerator
-from btt_expm.dense_expm import (_CHUNK_ENTRIES, _expm_stack, assemble_btt_dense,
-                                 expm_dense_oracle, expm_small)
+from btt_expm.dense_expm import (_CHUNK_ENTRIES, _DEGREE, _MU, _expm_stack,
+                                 assemble_btt_dense, expm_dense_oracle, expm_small)
 from btt_expm.model_gen import random_subgenerator
 
 from oracles import dense_btt, long_taylor_expm
@@ -88,6 +88,40 @@ class TestExpmSmall:
         # by up to 1.8e-13 there, and the reference above by 1.4e-13
         tol = 1e-13 if complex_ else 3e-13
         assert np.all(err <= tol * np.abs(ref).sum(axis=2).max(axis=1))
+
+    def test_degree_is_smallest_meeting_remainder_bound(self):
+        def remainder(d):
+            return math.exp(0.5) * 0.5 ** (d + 1) / math.factorial(d + 1)
+        assert remainder(_DEGREE) <= _MU < remainder(_DEGREE - 1)
+
+    @pytest.mark.parametrize("m", [2, 5])
+    def test_transpose_and_fortran_order(self, m):
+        # the diagonal terms must be added whatever the memory layout; a
+        # positive matrix keeps its high powers near their norm bound, so a
+        # dropped Taylor term shows after the squarings
+        rng = np.random.default_rng(m)
+        a = rng.uniform(0.5, 1.0, (m, m))
+        a *= 16.0 / np.abs(a).sum(axis=1).max()
+        ref = expm_small(a)
+        scale = np.abs(ref).max()
+        np.testing.assert_allclose(expm_small(a.T), ref.T, rtol=0, atol=1e-14 * scale)
+        np.testing.assert_allclose(expm_small(np.asfortranarray(a)), ref,
+                                   rtol=0, atol=1e-14 * scale)
+
+    @pytest.mark.parametrize("m", [2, 5])
+    def test_stack_layout_independent(self, m):
+        # every axis reversed in memory, as numpy 1.x returns a transform
+        # taken along axis 0 of a stack
+        nstack = _CHUNK_ENTRIES // (m * m) + 3
+        rng = np.random.default_rng(m)
+        c = (rng.standard_normal((m, m, nstack))
+             + 1j * rng.standard_normal((m, m, nstack))) * 2.0
+        strided = c.T
+        assert not strided.flags.c_contiguous
+        ref = _expm_stack(np.ascontiguousarray(strided))
+        out = _expm_stack(strided)
+        err = np.abs(out - ref).sum(axis=2).max(axis=1)
+        assert np.all(err <= 1e-14 * np.abs(ref).sum(axis=2).max(axis=1))
 
 
 class TestAssemblies:
