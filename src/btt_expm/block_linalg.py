@@ -105,6 +105,17 @@ class SubgeneratorSpec:
     def m(self) -> int:
         return self.u.m
 
+    def leading(self, k: int) -> "SubgeneratorSpec":
+        """The SubgeneratorSpec of the first k blocks.  Its exponential row is
+        the first k blocks of this one's (a leading principal submatrix of a
+        triangular matrix), and dropping nonnegative blocks keeps every
+        row-sum property."""
+        if k == self.n:
+            return self
+        lead = self.u.data[:k]
+        return SubgeneratorSpec(u=BlockVector._wrap(lead), alpha=self.alpha,
+                                l_norm=_l_norm(lead))
+
     def scaled(self, p: int) -> "SubgeneratorSpec":
         """The SubgeneratorSpec of u / 2**p.  Exact: scaling by a power of two
         preserves every sign and row-sum property."""
@@ -138,6 +149,13 @@ def _row_norm(arr: np.ndarray) -> float:
     return float(np.abs(arr).sum(axis=(0, 2)).max())
 
 
+def _l_norm(arr: np.ndarray) -> float:
+    # max row sum over the stacked tails [U_{n-i}, ..., U_{n-1}], i = 1..n-1
+    if arr.shape[0] == 1:
+        return 0.0
+    return float(np.cumsum(np.abs(arr[:0:-1]).sum(axis=2), axis=0).max())
+
+
 def block_row_inf_norm(v: BlockVector) -> float:
     """Inf-norm of the m x (n*m) concatenation of the blocks."""
     return _row_norm(v.data)
@@ -154,7 +172,7 @@ def validate_subgenerator(u: BlockVector, tol: float | None = None) -> Subgenera
     if not u.is_real:
         raise ValidationError("subgenerator blocks must be real-valued")
     arr = u.data
-    n, m = u.n, u.m
+    n = u.n
 
     u0 = arr[0]
     diag = np.diagonal(u0)
@@ -185,14 +203,7 @@ def validate_subgenerator(u: BlockVector, tol: float | None = None) -> Subgenera
         raise ValidationError(
             f"positive row sum: row {r} sums to {worst!r} (> tolerance {tol!r})")
 
-    # max row sum over the stacked tails [U_{n-i}, ..., U_{n-1}], i = 1..n-1
-    if n == 1:
-        l_norm = 0.0
-    else:
-        tail = np.cumsum(np.abs(arr[:0:-1]).sum(axis=2), axis=0)
-        l_norm = float(tail.max())
-
-    return SubgeneratorSpec(u=u, alpha=alpha, l_norm=l_norm)
+    return SubgeneratorSpec(u=u, alpha=alpha, l_norm=_l_norm(arr))
 
 
 def error_report(computed: BlockVector, reference: BlockVector) -> ErrorReport:

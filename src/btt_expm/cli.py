@@ -117,18 +117,19 @@ def _write_text(out: str | None, text: str) -> None:
 def _build_config(args, spec: SubgeneratorSpec) -> MethodConfig:
     method = args.method.replace("-", "_")
     use_scaling = not args.no_scaling
+    scaled = spec.scaled(scaling_exponent(spec) if use_scaling else 0)
     if method == "eps_circulant":
         if args.epsilon is not None:
             eps = parse_complex(args.epsilon)
         else:
-            eps = select_epsilon(spec.scaled(scaling_exponent(spec) if use_scaling else 0))
+            eps = select_epsilon(scaled)
         return MethodConfig("eps_circulant", epsilon=eps, use_scaling=use_scaling)
     if method == "eps_averaged":
         theta = abs(parse_complex(args.epsilon)) if args.epsilon is not None else 1e-2
         k = args.k if args.k is not None else 1
         return MethodConfig("eps_averaged", theta_mag=theta, k=k, use_scaling=use_scaling)
     if method == "embedding":
-        K = args.K if args.K is not None else 4 * spec.n
+        K = args.K if args.K is not None else select_embedding_K(scaled, 1e-12)
         return MethodConfig("embedding", K=K, use_scaling=use_scaling)
     if method == "taylor":
         return MethodConfig("taylor", taylor_tol=args.tol, max_terms=args.max_terms)
@@ -140,13 +141,14 @@ def cmd_expm(args) -> int:
     config = _build_config(args, spec)
     threads = _resolve_threads(args.threads)
     result = compute_exponential(spec, config, threads=threads)
-    comments = [f"method={config.method}", f"scaling_p={result.scaling_p}"]
+    comments = [f"method={config.method}", f"scaling_p={result.scaling_p}",
+                f"n_eff={result.n_eff}"]
     if config.epsilon is not None:
         comments.append(f"epsilon={_fmt_complex(config.epsilon)}")
     if config.theta_mag is not None:
         comments.append(f"theta={_fmt(config.theta_mag)} k={config.k}")
     if config.K is not None:
-        comments.append(f"K={config.K}")
+        comments.append(f"K={result.method_used.K}")
     if config.taylor_tol is not None:
         comments.append(f"tol={_fmt(config.taylor_tol)} max_terms={config.max_terms}")
     if result.predicted_bounds:
@@ -295,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", default=None,
                    help="complex as 'a+bi'; for eps-averaged, theta = |epsilon|")
     p.add_argument("--k", type=int, default=None, help="averaging order")
-    p.add_argument("--K", type=int, default=None, help="embedding size (default 4n)")
+    p.add_argument("--K", type=int, default=None,
+                   help="embedding size (default: select_embedding_K at 1e-12)")
     p.add_argument("--tol", type=float, default=1e-15, help="Taylor stop tolerance")
     p.add_argument("--max-terms", type=int, default=200, dest="max_terms")
     p.add_argument("--no-scaling", action="store_true", dest="no_scaling")

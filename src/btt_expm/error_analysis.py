@@ -2,7 +2,8 @@
 validation: FFT roundoff bounds for the two circulant exponentials, the
 eps-circulant approximation bound, the off-diagonal decay bound, the
 circulant-embedding tail bound and the size function minimized to pick the
-embedding length, and the Taylor truncation bound.
+embedding length, the Taylor truncation bound, and the bound on the mass of
+the exponential row beyond a given block that picks the effective length.
 
 All evaluators are closed-form over-estimates; the tests check computed
 errors against them on synthetic instances.
@@ -30,6 +31,7 @@ __all__ = [
     "embedding_bound_fK",
     "embedding_size_g",
     "taylor_truncation_bound",
+    "row_tail_log_bound",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -189,3 +191,23 @@ def taylor_truncation_bound(spec: SubgeneratorSpec, r: int) -> float:
     if t == 0:
         return 0.0
     return math.exp(r * math.log(t) - math.lgamma(r + 1)) / (1.0 - t / (r + 1))
+
+
+def row_tail_log_bound(row_sums: np.ndarray, L: int, log_sigma: float) -> float:
+    """Natural log of a bound on the mass max_i (sum_{k>=L} Y_k 1)_i of the
+    exponential row beyond block L, at sigma = exp(log_sigma) > 1.
+
+    ``row_sums[j]`` is U_j 1 for j = 0..b, where b is the last nonzero block.
+    Extended by zero blocks, the row has sum_k Y_k sigma**k = exp(U(sigma))
+    with U(sigma) = sum_j U_j sigma**j Metzler, so exp(U(sigma)) 1 is at most
+    e**(max row sum of U(sigma)) 1, and every Y_k is nonnegative:
+    log mass <= -L log_sigma + max_i sum_j (U_j 1)_i sigma**j.  Valid for
+    log_sigma in (0, 700 / b], where sigma**b cannot overflow; O(b m).
+    """
+    t = float(log_sigma)
+    b = row_sums.shape[0] - 1
+    if not 0 < t <= 700.0 / max(b, 1):
+        raise ValueError(f"log_sigma must lie in (0, 700/b], got {t} with b = {b}")
+    with np.errstate(over="ignore"):
+        growth = float((np.exp(t * np.arange(b + 1)) @ row_sums).max())
+    return growth - L * t

@@ -12,10 +12,21 @@ Four routes, all returning the first block-row of the exponential:
 * ``exp_btt_taylor``: shifted Taylor series with structured products, summing
   only nonnegative terms.
 
-Every route scales the input by 2**p so the decay rate is at most 1, and
-squares the structured result p times at the end.  Inputs whose length is not
-a power of two are zero-padded (the padded exponential contains the original
-one as its leading principal part) and truncated on return.
+Every route runs one pipeline: validate -> n' -> scale -> pad -> core ->
+squarings -> zero-filled tail.
+
+* n': the leading n' blocks of exp(T_n) are exp(T_n') exactly, so each
+  route works on the leading n' blocks only.  ``effective_length`` picks n'
+  as the smallest power of two at which an a-priori bound puts the row's
+  mass beyond n' below roundoff relative to the row, and n' = n whenever
+  the bound cannot certify less.
+* scale: the input is divided by 2**p so the decay rate is at most 1.
+* pad: lengths that are not powers of two are zero-padded (the padded
+  exponential contains the original one as its leading principal part).
+* core: the route's own computation on the scaled, padded row.
+* squarings: the structured result is squared p times.
+* tail: the leading n' blocks are returned in a row of n blocks whose
+  remaining blocks are zero and, for large rows, never written.
 """
 
 from __future__ import annotations
@@ -23,6 +34,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import math
+import mmap
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -45,6 +57,7 @@ __all__ = [
     "select_epsilon",
     "select_embedding_K",
     "embedding_tail_bound",
+    "effective_length",
     "compute_exponential",
 ]
 
@@ -65,7 +78,7 @@ class MethodConfig:
     """Method selector plus exactly the parameters that method needs.
 
     ``use_scaling`` applies to the first three methods; the Taylor route
-    derives its own scaling from the shifted leading block.
+    always scales.
     """
 
     method: str
@@ -94,11 +107,14 @@ class MethodConfig:
 @dataclasses.dataclass(frozen=True)
 class ExpResult:
     """Computed first block-row plus provenance: which method, what scaling
-    exponent was applied, and optional predicted error bounds."""
+    exponent was applied, the effective length n' the method ran at (blocks
+    from n' on are zero), and predicted error bounds, among them
+    ``"truncation"``, the bound on the row mass beyond n' (0.0 when n' = n)."""
 
     y: BlockVector
     method_used: MethodConfig
     scaling_p: int
+    n_eff: int
     predicted_bounds: dict[str, float] | None = None
 
 
@@ -131,13 +147,26 @@ def _pad(arr: np.ndarray, length: int) -> np.ndarray:
     return out
 
 
-def _finish(y: np.ndarray, p: int, n: int) -> BlockVector:
-    # square at the padded power-of-two length, then truncate; the leading n
-    # blocks of a triangular product never involve the padding blocks
+def _zero_row(n: int, m: int) -> np.ndarray:
+    # fresh anonymous pages read as zero and take no memory until written,
+    # where np.zeros may reuse freed heap memory and write every zero; a row
+    # below one page has nothing to save and keeps np.zeros
+    nbytes = n * m * m * 8
+    if nbytes < mmap.PAGESIZE:
+        return np.zeros((n, m, m))
+    return np.frombuffer(mmap.mmap(-1, nbytes), dtype=np.float64).reshape(n, m, m)
+
+
+def _finish(y: np.ndarray, p: int, n_eff: int, n: int) -> BlockVector:
+    # square at the padded power-of-two length, then keep the leading n_eff
+    # blocks, which never involve the padding blocks of a triangular product;
+    # blocks n_eff .. n - 1 of the returned row are zero
     out = repeated_squaring(BlockVector._wrap(y), p)
     if out.n == n:
         return out
-    return BlockVector._wrap(out.data[:n].copy())
+    row = _zero_row(n, out.m)
+    row[:n_eff] = out.data[:n_eff]
+    return BlockVector._wrap(row)
 
 
 def exp_btt_eps(spec: SubgeneratorSpec, epsilon: complex, use_scaling: bool = True,
@@ -155,20 +184,23 @@ def exp_btt_eps(spec: SubgeneratorSpec, epsilon: complex, use_scaling: bool = Tr
     if not allow_large_eps and abs(epsilon) >= 1:
         raise ValueError(f"|epsilon| = {abs(epsilon)!r} must be below 1")
 
+    n_eff, truncation = effective_length(spec)
     p = scaling_exponent(spec) if use_scaling else 0
-    sspec = spec.scaled(p)
-    padded = _pad(sspec.u.data, _next_pow2(spec.n))
+    sspec = spec.leading(n_eff).scaled(p)
+    padded = _pad(sspec.u.data, _next_pow2(n_eff))
     yc = exp_eps_circulant(BlockVector._wrap(padded), epsilon, threads=threads,
                            allow_large_eps=allow_large_eps)
-    y = _finish(np.ascontiguousarray(yc.data.real), p, spec.n)
+    y = _finish(np.ascontiguousarray(yc.data.real), p, n_eff, spec.n)
 
     phi = ea.phi_bound(padded.shape[0], spec.m, float(np.abs(padded).max()), 1.0)
     bounds = {
         "approx": ea.eps_approx_bound(sspec.l_norm, epsilon),
         "roundoff": ea.eps_roundoff_bound(phi, spec.m, epsilon),
+        "truncation": truncation,
     }
     config = MethodConfig("eps_circulant", epsilon=epsilon, use_scaling=use_scaling)
-    return ExpResult(y=y, method_used=config, scaling_p=p, predicted_bounds=bounds)
+    return ExpResult(y=y, method_used=config, scaling_p=p, n_eff=n_eff,
+                     predicted_bounds=bounds)
 
 
 def exp_btt_eps_averaged(spec: SubgeneratorSpec, theta_mag: float, k: int,
@@ -186,9 +218,10 @@ def exp_btt_eps_averaged(spec: SubgeneratorSpec, theta_mag: float, k: int,
         raise ValueError(f"theta_mag = {theta_mag!r} must be below 1")
     k = int(k)
 
+    n_eff, truncation = effective_length(spec)
     p = scaling_exponent(spec) if use_scaling else 0
-    sspec = spec.scaled(p)
-    padded = BlockVector._wrap(_pad(sspec.u.data, _next_pow2(spec.n)))
+    sspec = spec.leading(n_eff).scaled(p)
+    padded = BlockVector._wrap(_pad(sspec.u.data, _next_pow2(n_eff)))
     root_i = cmath.exp(1j * math.pi / (2 * k))  # principal k-th root of i
     eps_list = [root_i * cmath.exp(2j * math.pi * j / k) * theta_mag for j in range(k)]
 
@@ -201,30 +234,37 @@ def exp_btt_eps_averaged(spec: SubgeneratorSpec, theta_mag: float, k: int,
     else:
         rows = [one(eps) for eps in eps_list]
     mean = np.ascontiguousarray(sum(rows) / k)
-    y = _finish(mean, p, spec.n)
+    y = _finish(mean, p, n_eff, spec.n)
 
     phi = ea.phi_bound(padded.n, spec.m, float(np.abs(padded.data).max()), 1.0)
     bounds = {
         "single_point_approx": ea.eps_approx_bound(sspec.l_norm, 1j * theta_mag),
         "roundoff": ea.eps_roundoff_bound(phi, spec.m, theta_mag),
+        "truncation": truncation,
     }
     config = MethodConfig("eps_averaged", theta_mag=theta_mag, k=k, use_scaling=use_scaling)
-    return ExpResult(y=y, method_used=config, scaling_p=p, predicted_bounds=bounds)
+    return ExpResult(y=y, method_used=config, scaling_p=p, n_eff=n_eff,
+                     predicted_bounds=bounds)
 
 
 def exp_btt_embedding(spec: SubgeneratorSpec, K: int, use_scaling: bool = True,
                       *, threads: int = 1) -> ExpResult:
     """Exponential row via embedding into a block-circulant of K blocks
     (rounded up to a power of two); the leading n blocks over-estimate the
-    true ones by a tail that decays exponentially in K - n."""
+    true ones by a tail that decays exponentially in K - n.
+
+    On the leading n' blocks the circulant keeps the caller's oversampling:
+    it has K * pad(n') / pad(n) blocks, which is the K the result reports.
+    """
     if K < spec.n:
         raise ValueError(f"K = {K} must be at least n = {spec.n}")
-    K2 = _next_pow2(K)
+    n_eff, truncation = effective_length(spec)
+    K2 = _next_pow2(K) * _next_pow2(n_eff) // _next_pow2(spec.n)
     p = scaling_exponent(spec) if use_scaling else 0
-    sspec = spec.scaled(p)
+    sspec = spec.leading(n_eff).scaled(p)
     s = exp_circulant(BlockVector._wrap(_pad(sspec.u.data, K2)), threads=threads)
-    lead = _pad(s.data[: spec.n], _next_pow2(spec.n))
-    y = _finish(lead, p, spec.n)
+    lead = _pad(s.data[:n_eff], _next_pow2(n_eff))
+    y = _finish(lead, p, n_eff, spec.n)
 
     # the K-block embedding adds only zero blocks, so the unpadded row has
     # the same max entry without another K-block temporary
@@ -232,9 +272,11 @@ def exp_btt_embedding(spec: SubgeneratorSpec, K: int, use_scaling: bool = True,
     bounds = {
         "tail": embedding_tail_bound(sspec, K2),
         "roundoff": ea.circulant_roundoff_bound(chi, spec.m),
+        "truncation": truncation,
     }
     config = MethodConfig("embedding", K=K2, use_scaling=use_scaling)
-    return ExpResult(y=y, method_used=config, scaling_p=p, predicted_bounds=bounds)
+    return ExpResult(y=y, method_used=config, scaling_p=p, n_eff=n_eff,
+                     predicted_bounds=bounds)
 
 
 def _power_radius(a: np.ndarray, iters: int = 60) -> float:
@@ -256,28 +298,30 @@ def exp_btt_taylor(spec: SubgeneratorSpec, tol: float, max_terms: int = 200,
     """Exponential row via the shifted Taylor series.
 
     The leading block is shifted by alpha*I so the whole series is
-    nonnegative; the scaling exponent comes from the inf-norm of the shifted
-    leading block (or its spectral radius when ``spectral_estimate`` is set,
-    which can save squarings for lopsided blocks).  Terms are added until the
-    latest term is below ``tol`` relative to the running sum, else the method
-    fails after ``max_terms``.
+    nonnegative.  The scaling exponent is ``scaling_exponent(spec)``: the
+    shifted row has inf-norm at most alpha, because every row of U sums to
+    at most 0.  With ``spectral_estimate`` it comes instead from the
+    spectral radius of the shifted leading block, which can save squarings
+    for lopsided blocks.  Terms are added until the latest term is below
+    ``tol`` relative to the running sum, else the method fails after
+    ``max_terms``.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     if max_terms < 2:
         raise ValueError("max_terms must be at least 2")
 
-    n, m = spec.n, spec.m
+    n_eff, truncation = effective_length(spec)
+    m = spec.m
     alpha = spec.alpha
-    n2 = _next_pow2(n)
-    shifted = _pad(spec.u.data, n2)
+    shifted = _pad(spec.u.data[:n_eff], _next_pow2(n_eff))
     shifted[0] += alpha * np.eye(m)
 
     if spectral_estimate:
         rho = _power_radius(shifted[0])
+        p = int(math.floor(math.log2(rho))) + 1 if rho > 1.0 else 0
     else:
-        rho = float(np.abs(shifted[0]).sum(axis=1).max())
-    p = int(math.floor(math.log2(rho))) + 1 if rho > 1.0 else 0
+        p = scaling_exponent(spec)
     v = shifted / 2.0 ** p
     vb = BlockVector._wrap(v.copy())
 
@@ -296,9 +340,10 @@ def exp_btt_taylor(spec: SubgeneratorSpec, tol: float, max_terms: int = 200,
             f"Taylor series did not meet tol={tol!r} within {max_terms} terms")
 
     y = y * math.exp(-alpha / 2.0 ** p)
-    result = _finish(np.ascontiguousarray(y), p, n)
+    result = _finish(np.ascontiguousarray(y), p, n_eff, spec.n)
     config = MethodConfig("taylor", taylor_tol=tol, max_terms=max_terms)
-    return ExpResult(y=result, method_used=config, scaling_p=p, predicted_bounds=None)
+    return ExpResult(y=result, method_used=config, scaling_p=p, n_eff=n_eff,
+                     predicted_bounds={"truncation": truncation})
 
 
 def select_epsilon(spec: SubgeneratorSpec, imaginary: bool = True,
@@ -382,6 +427,55 @@ def select_embedding_K(spec: SubgeneratorSpec, target_error: float) -> int:
     while k <= base:
         k <<= 1
     return k
+
+
+# golden-section steps of the n' search: the interval shrinks by 0.618 per
+# step, and n' is rounded up to a power of two anyway
+_LENGTH_SEARCH_STEPS = 24
+
+
+def effective_length(spec: SubgeneratorSpec) -> tuple[int, float]:
+    """The effective length n' every method runs at, and the bound on the
+    exponential row's mass beyond block n' (0.0 when n' = n).
+
+    n' is the smallest power of two at which ``row_tail_log_bound``,
+    minimized over log sigma, is at most (mu/8) e**s_min, capped at n; s_min
+    is the least row sum of S = sum_j U_j.  The row's mass is at least
+    e**s_min, so the dropped tail stays below roundoff relative to the row.
+    The least such length is min over t of (bound at L = 0 - log target) / t,
+    a quasi-convex function of t, found by one golden-section search; when
+    n' < n, a second search over t sharpens the reported bound at n'.  Each
+    evaluation costs O(b m), b the last nonzero block.
+    """
+    n, m = spec.n, spec.m
+    u = spec.u.data
+    row_sums = u[:, :, 0].copy()  # U_j 1, a column at a time: faster than sum(axis=2)
+    for col in range(1, m):
+        row_sums += u[:, :, col]
+    # blocks after the first are nonnegative, so U_j 1 = 0 only when U_j = 0;
+    # b is the last nonzero block, found from the end by argmax
+    nonzero = row_sums[:0:-1].reshape(-1) != 0
+    if not nonzero.any():
+        return 1, 0.0  # block-diagonal: every block after the first is zero
+    b = n - 1 - int(np.argmax(nonzero)) // m
+    row_sums = row_sums[:b + 1]
+    log_target = math.log(_MU / 8.0) + float(row_sums.sum(axis=0).min())
+    t_max = 700.0 / b
+
+    def least_length(t: float) -> float:
+        return (ea.row_tail_log_bound(row_sums, 0, t) - log_target) / t
+
+    t_len = _golden_min(least_length, 0.0, t_max, _LENGTH_SEARCH_STEPS)
+    need = least_length(t_len)  # inf when the bound overflows
+    n_eff = _next_pow2(math.ceil(need)) if need < n else n
+    if n_eff >= n:
+        return n, 0.0
+
+    def log_tail(t: float) -> float:
+        return ea.row_tail_log_bound(row_sums, n_eff, t)
+
+    t_tail = _golden_min(log_tail, 0.0, t_max, _LENGTH_SEARCH_STEPS)
+    return n_eff, math.exp(min(log_tail(t_len), log_tail(t_tail)))
 
 
 def compute_exponential(spec: SubgeneratorSpec, config: MethodConfig, *,

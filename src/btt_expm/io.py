@@ -40,6 +40,35 @@ def format_block_vector(v: BlockVector, comments: Iterable[str] = ()) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_values(data_lines: list[str], m: int) -> np.ndarray | None:
+    # one split over all lines, with a separator token between lines: the
+    # separators land every m + 1 tokens exactly when every line holds m
+    # values (a value equal to the separator fails the float conversion)
+    tokens = " ; ".join(data_lines).split()
+    seps = len(data_lines) - 1
+    if len(tokens) != seps + len(data_lines) * m or tokens[m::m + 1] != [";"] * seps:
+        return None
+    del tokens[m::m + 1]
+    try:
+        return np.array(tokens, dtype=np.float64)
+    except ValueError:
+        return None
+
+
+def _parse_lines(data_lines: list[str], m: int) -> np.ndarray:
+    # line by line, for the error message that names the bad line
+    rows = []
+    for idx, ln in enumerate(data_lines):
+        parts = ln.split()
+        if len(parts) != m:
+            raise ParseError(f"data line {idx + 1} has {len(parts)} values, expected {m}")
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError as exc:
+            raise ParseError(f"data line {idx + 1}: {exc}") from exc
+    return np.asarray(rows)
+
+
 def parse_block_vector(text: str) -> BlockVector:
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -54,16 +83,10 @@ def parse_block_vector(text: str) -> BlockVector:
     data_lines = lines[1:]
     if len(data_lines) != n * m:
         raise ParseError(f"expected {n * m} data lines, found {len(data_lines)}")
-    rows = []
-    for idx, ln in enumerate(data_lines):
-        parts = ln.split()
-        if len(parts) != m:
-            raise ParseError(f"data line {idx + 1} has {len(parts)} values, expected {m}")
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError as exc:
-            raise ParseError(f"data line {idx + 1}: {exc}") from exc
-    arr = np.asarray(rows).reshape(n, m, m)
+    arr = _parse_values(data_lines, m)
+    if arr is None:
+        arr = _parse_lines(data_lines, m)
+    arr = arr.reshape(n, m, m)
     try:
         return BlockVector(arr)
     except ValueError as exc:

@@ -68,9 +68,10 @@ def random_subgenerator(n: int, m: int, density: float = 1.0, slack: float = 0.0
     band = n if bandwidth is None else bandwidth
     if not 1 <= band <= n:
         raise ValueError(f"bandwidth must lie in [1, {n}], got {band}")
-    if n * m == 1 and slack == 0.0:
+    if m == 1 and band == 1 and slack == 0.0:
         raise ValueError(
-            "a 1x1 generator with zero row sum has a zero diagonal; use slack > 0")
+            "a scalar generator with no off-diagonal blocks has a zero diagonal; "
+            "use slack > 0")
 
     rng = SplitMix64(seed)
     arr = np.zeros((n, m, m))

@@ -75,14 +75,18 @@ def scalar_btt_expm(a):
     b_0 = exp(a_0), k * b_k = sum_{j=1..k} j * a_j * b_{k-j}.
 
     For a subgenerator every a_j with j >= 1 is nonnegative, so every term is
-    nonnegative and the recurrence is accurate entry by entry.  O(n^2)."""
+    nonnegative and the recurrence is accurate entry by entry.  The sum stops
+    at the last nonzero a_j: O(n * bandwidth), O(n^2) for a full row."""
     a = np.asarray(a, dtype=float).ravel()
     n = len(a)
     ja = np.arange(n) * a
+    far = np.nonzero(a[1:])[0]
+    band = int(far[-1]) + 1 if far.size else 0
     b = np.zeros(n)
     b[0] = np.exp(a[0])
     for k in range(1, n):
-        b[k] = np.dot(ja[1:k + 1], b[k - 1::-1]) / k
+        w = min(k, band)
+        b[k] = np.dot(ja[1:w + 1], b[k - 1::-1][:w]) / k
     return b.reshape(n, 1, 1)
 
 

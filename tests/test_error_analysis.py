@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from btt_expm.dense_expm import assemble_btt_dense, expm_dense_oracle, expm_smal
 from btt_expm.model_gen import banded_subgenerator, random_subgenerator
 from btt_expm import error_analysis as ea
 
-from oracles import dense_eps_circulant
+from oracles import dense_eps_circulant, scalar_btt_expm
 
 
 class TestConstants:
@@ -186,3 +187,55 @@ class TestTaylorTruncationBound:
         spec = self.spec_scalar(-1.0, 1.0)
         with pytest.raises(ValueError):
             ea.taylor_truncation_bound(spec, 0)
+
+
+class TestRowTailBound:
+    @staticmethod
+    def row_sums(spec):
+        sums = spec.u.data.sum(axis=2)
+        far = np.flatnonzero(sums[1:].any(axis=1))
+        return sums[:far[-1] + 2]
+
+    def test_bounds_exact_scalar_tail(self):
+        spec = banded_subgenerator(512, 1, 3, seed=2, alpha_target=6.0)
+        y = scalar_btt_expm(spec.u.data)[:, 0, 0]
+        sums = self.row_sums(spec)
+        assert sums.shape == (3, 1)
+        for L in (1, 8, 32, 64, 128):
+            exact = y[L:].sum()
+            assert exact > 0
+            for t in (0.05, 0.5, 2.0, 700.0 / 2):
+                assert math.log(exact) <= ea.row_tail_log_bound(sums, L, t) + 1e-12
+
+    def test_bounds_exact_block_tail(self):
+        spec = banded_subgenerator(64, 3, 4, seed=5, slack=0.3, alpha_target=2.0)
+        y = expm_dense_oracle(spec).data
+        sums = self.row_sums(spec)
+        for L in (2, 8, 16, 32):
+            exact = y[L:].sum(axis=(0, 2)).max()
+            assert exact > 0
+            for t in (0.1, 0.7, 3.0):
+                assert math.log(exact) <= ea.row_tail_log_bound(sums, L, t) + 1e-12
+
+    def test_matches_hand_formula(self):
+        # U_0 = -2, U_1 = 1.5, U_2 = 0.5: -L t + (-2 + 1.5 e^t + 0.5 e^(2t))
+        sums = np.array([[-2.0], [1.5], [0.5]])
+        t = 0.3
+        expect = -10 * t - 2.0 + 1.5 * math.exp(t) + 0.5 * math.exp(2 * t)
+        assert ea.row_tail_log_bound(sums, 10, t) == pytest.approx(expect, rel=1e-15)
+
+    def test_range_end_is_finite_or_inf(self):
+        # sigma**b stays finite at log sigma = 700/b; a sum that overflows
+        # gives inf (no bound), never nan, and no warning
+        spec = banded_subgenerator(4096, 2, 2048, seed=1, alpha_target=50.0)
+        sums = self.row_sums(spec)
+        t = 700.0 / (sums.shape[0] - 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(ea.row_tail_log_bound(sums, 0, t))
+            assert ea.row_tail_log_bound(sums * 1e10, 0, t) == math.inf
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, 700.0 / 2 * (1 + 1e-12)])
+    def test_log_sigma_out_of_range_rejected(self, t):
+        with pytest.raises(ValueError):
+            ea.row_tail_log_bound(np.array([[-1.0], [0.5], [0.5]]), 4, t)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, event, given, settings
+from hypothesis import strategies as st
 
 from btt_expm.block_linalg import (BlockVector, SubgeneratorSpec, error_report,
                                    validate_subgenerator)
@@ -10,7 +12,8 @@ from btt_expm.errors import NumericalError
 from btt_expm.exp_btt import (MethodConfig, compute_exponential,
                               exp_btt_embedding, exp_btt_eps,
                               exp_btt_eps_averaged, exp_btt_taylor,
-                              embedding_tail_bound, repeated_squaring,
+                              effective_length, embedding_tail_bound,
+                              repeated_squaring,
                               scaling_exponent, select_embedding_K,
                               select_epsilon)
 from btt_expm.model_gen import banded_subgenerator, random_subgenerator
@@ -267,6 +270,15 @@ class TestTaylorMethod:
         assert error_report(refined.y, ref).nw_rel <= 1e-12
         assert refined.scaling_p <= plain.scaling_p
 
+    def test_scaling_from_whole_row(self):
+        # m = 1: the shifted leading block is 0, which gave p = 0 and no
+        # convergence within 200 terms at alpha = 200
+        spec = banded_subgenerator(4096, 1, 4, seed=0, alpha_target=200.0)
+        res = exp_btt_taylor(spec, 1e-15, 200)
+        assert res.scaling_p == scaling_exponent(spec) == 8
+        ref = BlockVector(scalar_btt_expm(spec.u.data))
+        assert error_report(res.y, ref).nw_rel <= 1e-12
+
     def test_non_convergence_raises(self):
         spec = random_subgenerator(4, 2, seed=20, alpha_target=1.0)
         with pytest.raises(NumericalError, match="terms"):
@@ -438,3 +450,138 @@ class TestCrossMethodProperties:
         res = exp_btt_eps_averaged(spec, 1e-2, 4)
         assert res.scaling_p == 3
         assert error_report(res.y, ref).nw_rel <= 1e-11
+
+
+def erlang_clock_row(n, m):
+    # U_1 = lam I, U_0 = Q - lam I with lam = n/2: the mass travels with an
+    # Erlang clock of n phases and spans the whole row
+    lam = n / 2
+    q = np.full((m, m), 1.0) - m * np.eye(m)
+    u = np.zeros((n, m, m))
+    u[0] = q - lam * np.eye(m)
+    u[1] = lam * np.eye(m)
+    return validate_subgenerator(BlockVector(u))
+
+
+def run_method(name, spec):
+    p = scaling_exponent(spec)
+    if name == "eps_circulant":
+        return exp_btt_eps(spec, select_epsilon(spec.scaled(p)))
+    if name == "eps_averaged":
+        return exp_btt_eps_averaged(spec, 1e-2, 4)
+    if name == "embedding":
+        return exp_btt_embedding(spec, select_embedding_K(spec.scaled(p), 1e-12))
+    return exp_btt_taylor(spec, 1e-15)
+
+
+METHOD_NAMES = ("eps_circulant", "eps_averaged", "embedding", "taylor")
+
+
+class TestEffectiveLength:
+    """Every method runs on the leading n' blocks and returns zeros beyond."""
+
+    @pytest.fixture(scope="class")
+    def long_case(self):
+        spec = banded_subgenerator(2 ** 14, 1, 4, seed=3, alpha_target=50.0)
+        return spec, BlockVector(scalar_btt_expm(spec.u.data))
+
+    @pytest.mark.parametrize("name", METHOD_NAMES)
+    def test_large_n_accuracy(self, long_case, name):
+        spec, ref = long_case
+        res = run_method(name, spec)
+        assert res.n_eff < spec.n
+        assert error_report(res.y, ref).nw_rel <= 1e-12
+        assert np.all(res.y.data[res.n_eff:] == 0)
+
+    def test_bound_is_below_roundoff_of_the_row(self, long_case):
+        spec, ref = long_case
+        n_eff, bound = effective_length(spec)
+        assert n_eff & (n_eff - 1) == 0
+        # the row sums to 1 (a generator), so the target is mu / 8
+        assert 0 < bound <= MU / 8
+        assert ref.data[n_eff:].sum() <= bound
+        # half of n' is not certified at any sigma of a fine grid
+        sums = spec.u.data[:4, :, 0]
+        grid = np.linspace(1e-3, 700.0 / 3, 20000)
+        half = min(ea.row_tail_log_bound(sums, n_eff // 2, t) for t in grid)
+        assert half > math.log(MU / 8)
+        # the leading blocks of a row have the same n'
+        assert effective_length(spec.leading(2 * n_eff)) == (n_eff, bound)
+
+    def test_erlang_clock_keeps_full_length(self):
+        spec = erlang_clock_row(4096, 2)
+        assert effective_length(spec) == (4096, 0.0)
+        res = exp_btt_eps_averaged(spec, 1e-2, 1)
+        assert res.n_eff == 4096
+        assert res.predicted_bounds["truncation"] == 0.0
+
+    def test_dense_row_keeps_full_length(self):
+        spec = random_subgenerator(2048, 3, density=0.3, seed=11, alpha_target=50.0)
+        assert effective_length(spec) == (2048, 0.0)
+
+    def test_block_diagonal_row(self):
+        spec = banded_subgenerator(64, 2, 1, seed=4, slack=0.5, alpha_target=3.0)
+        assert spec.l_norm == 0.0
+        assert effective_length(spec) == (1, 0.0)
+        b0 = expm_small(spec.u.data[0])
+        for name in METHOD_NAMES:
+            res = run_method(name, spec)
+            assert res.n_eff == 1
+            np.testing.assert_allclose(res.y.data[0], b0, rtol=1e-12, atol=1e-15)
+            assert np.all(res.y.data[1:] == 0)
+
+    def test_embedding_keeps_oversampling(self):
+        spec = banded_subgenerator(1000, 2, 4, seed=2, alpha_target=5.0)
+        res = exp_btt_embedding(spec, 3000)
+        assert res.n_eff < 512
+        # K rounds up to 4096 = 4 pad(n); the circulant keeps 4 pad(n')
+        assert res.method_used.K == 4096 * res.n_eff // 1024
+        ref = exp_btt_taylor(spec, 1e-15).y
+        assert error_report(res.y, ref).nw_rel <= 1e-12
+
+    def test_taylor_reports_truncation(self):
+        spec = banded_subgenerator(512, 2, 3, seed=1, alpha_target=2.0)
+        res = exp_btt_taylor(spec, 1e-15)
+        n_eff, bound = effective_length(spec)
+        assert res.n_eff == n_eff < 512
+        assert res.predicted_bounds == {"truncation": bound}
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_dropped_mass_within_bound(self, data):
+        # exact rows: the scalar recurrence (m = 1, any n) or the dense oracle
+        m = data.draw(st.sampled_from([1, 1, 2, 3]), label="m")
+        top = 4096 if m == 1 else 192 // m
+        n = data.draw(st.one_of(st.integers(1, top), st.integers(top // 2, top)), label="n")
+        band = data.draw(st.one_of(st.integers(1, min(n, 4)), st.just(n)), label="band")
+        density = data.draw(st.floats(0.2, 1.0), label="density")
+        slack = data.draw(st.sampled_from([0.0, 0.0, 0.1, 1.0]), label="slack")
+        alpha = data.draw(st.sampled_from([0.05, 1.0, 7.0, 50.0, 200.0]), label="alpha")
+        seed = data.draw(st.integers(0, 2 ** 32), label="seed")
+        name = data.draw(st.sampled_from(METHOD_NAMES), label="method")
+        assume(n * m > 1 or slack > 0)
+        assume(m > 1 or band > 1 or slack > 0)
+        spec = random_subgenerator(n, m, density=density, slack=slack, seed=seed,
+                                   alpha_target=alpha, bandwidth=band)
+        if m == 1:
+            exact = scalar_btt_expm(spec.u.data)
+        else:
+            exact = expm_dense_oracle(spec, cap=192).data
+
+        res = run_method(name, spec)
+        event("n' < n" if res.n_eff < n else "n' = n")
+        tail = exact[res.n_eff:].sum(axis=(0, 2)).max(initial=0.0)
+        assert tail <= res.predicted_bounds["truncation"]
+        assert (res.n_eff == n) == (res.predicted_bounds["truncation"] == 0.0) \
+            or spec.l_norm == 0.0
+        assert res.y.n == n
+        assert np.all(res.y.data[res.n_eff:] == 0)
+        assert not res.y.data.flags.writeable
+        with pytest.raises(ValueError):
+            res.y.data[-1, 0, 0] = 1.0
+        if res.n_eff < n:
+            # the row holds all but a roundoff share of its mass; rows that
+            # lose mass past block n (n = 3, alpha = 200) lose relative
+            # accuracy in the squarings at any length
+            assert error_report(res.y, BlockVector(exact)).nw_rel <= 1e-9

@@ -45,6 +45,29 @@ class TestFileFormat:
         with pytest.raises(ParseError):
             parse_block_vector(text)
 
+    @pytest.mark.parametrize("line", [1, 4, 6])
+    def test_bad_token_names_its_line(self, line):
+        # the messages of the per-line parser, for any line of the file
+        rows = [["0.5", "1e-3"] for _ in range(6)]
+        rows[line - 1][1] = "x"
+        text = "btt v1 n=3 m=2\n" + "\n".join(" ".join(r) for r in rows) + "\n"
+        with pytest.raises(ParseError) as exc:
+            parse_block_vector(text)
+        assert str(exc.value) == (
+            f"data line {line}: could not convert string to float: 'x'")
+
+    @pytest.mark.parametrize("body,message", [
+        ("1\n2 3 4", "data line 1 has 1 values, expected 2"),
+        ("1 2 ;\n3", "data line 1 has 3 values, expected 2"),
+        ("1 ;\n2 3", "data line 1: could not convert string to float: ';'"),
+    ])
+    def test_value_count_names_its_line(self, body, message):
+        # the total count matches in each case; so does the place of the line
+        # separator token in the last two
+        with pytest.raises(ParseError) as exc:
+            parse_block_vector("btt v1 n=1 m=2\n" + body + "\n")
+        assert str(exc.value) == message
+
     def test_missing_file(self):
         with pytest.raises(ParseError):
             read_block_vector("/definitely/not/here.btt")
@@ -136,6 +159,36 @@ class TestCli:
         out = capsys.readouterr().out
         assert "# method=embedding" in out
         assert "# K=16" in out
+
+    def test_expm_writes_effective_length(self, tmp_path, capsys):
+        from btt_expm.exp_btt import effective_length
+        from btt_expm.model_gen import banded_subgenerator
+        spec = banded_subgenerator(512, 2, 3, seed=1, alpha_target=2.0)
+        n_eff, bound = effective_length(spec)
+        assert n_eff < 512
+        path = str(tmp_path / "banded.btt")
+        write_block_vector(path, spec.u)
+        for method in ("eps-circulant", "eps-averaged", "embedding", "taylor"):
+            assert main(["expm", path, "--method", method, "--out", "-"]) == 0
+            out = capsys.readouterr().out
+            assert f"# n_eff={n_eff}\n" in out
+            assert f"# predicted_truncation={bound:.17g}\n" in out
+            assert np.all(parse_block_vector(out).data[n_eff:] == 0)
+
+    def test_expm_embedding_default_K_from_rule(self, tmp_path, capsys):
+        # K = 4n gave nw_rel 7.3e-4 here; the rule's K at 1e-12 gives roundoff
+        from btt_expm.dense_expm import expm_dense_oracle
+        from btt_expm.exp_btt import scaling_exponent, select_embedding_K
+        spec = random_subgenerator(128, 3, density=0.3, seed=11, alpha_target=50.0)
+        path = str(tmp_path / "dense.btt")
+        write_block_vector(path, spec.u)
+        assert main(["expm", path, "--method", "embedding", "--out", "-"]) == 0
+        out = capsys.readouterr().out
+        K = select_embedding_K(spec.scaled(scaling_exponent(spec)), 1e-12)
+        assert K > 4 * 128
+        assert f"# K={K}\n" in out
+        y = parse_block_vector(out)
+        assert error_report(y, expm_dense_oracle(spec)).nw_rel <= 1e-12
 
     def test_missing_input_exits_2(self, capsys):
         assert main(["expm", "/nope.btt", "--method", "taylor"]) == 2

@@ -67,6 +67,13 @@ class TestRandomSubgenerator:
         spec = random_subgenerator(1, 1, slack=0.5, seed=0)
         assert spec.alpha > 0
 
+    def test_degenerate_scalar_band_one_generator_rejected(self):
+        # m = 1 with no far blocks has no off-diagonal entry to redraw
+        with pytest.raises(ValueError, match="slack"):
+            random_subgenerator(4, 1, slack=0.0, seed=0, bandwidth=1)
+        spec = random_subgenerator(4, 1, slack=0.5, seed=0, bandwidth=1)
+        assert spec.l_norm == 0.0
+
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             random_subgenerator(0, 2)
