@@ -10,8 +10,6 @@ Subcommands::
                    theta grid and a list of averaging orders, as CSV
     sweep-K        error metrics of the embedding method over a list of
                    embedding sizes, as CSV
-    bench          wall-clock times of the structured methods (and the dense
-                   baseline while it fits under the oracle cap), as CSV
 
 Exit codes: 0 success, 2 parse error (bad file or flag), 3 validation
 failure, 4 numerical failure.  Error references for sweeps are the dense
@@ -22,7 +20,6 @@ length (flagged in the CSV header comment).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -81,28 +78,16 @@ def _parse_ints(text: str) -> list[int]:
         raise ParseError(f"bad integer list {text!r}: {exc}") from exc
 
 
-def _resolve_threads(value: int | None) -> int:
-    if value is not None:
-        return max(1, value)
-    env = os.environ.get("BTT_EXPM_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ParseError(f"bad BTT_EXPM_THREADS value {env!r}") from exc
-    return 1
-
-
 def _load_spec(path: str) -> SubgeneratorSpec:
     return validate_subgenerator(read_block_vector(path))
 
 
-def _reference(spec: SubgeneratorSpec, oracle_cap: int, threads: int):
+def _reference(spec: SubgeneratorSpec, oracle_cap: int):
     """Dense oracle when it fits, else a large embedding as pseudo-oracle."""
     if spec.n * spec.m <= oracle_cap:
         return expm_dense_oracle(spec, cap=oracle_cap), "dense_oracle"
     big_k = 8 * _next_pow2(spec.n)
-    res = exp_btt_embedding(spec, big_k, threads=threads)
+    res = exp_btt_embedding(spec, big_k)
     return res.y, f"embedding_K{big_k}"
 
 
@@ -139,8 +124,7 @@ def _build_config(args, spec: SubgeneratorSpec) -> MethodConfig:
 def cmd_expm(args) -> int:
     spec = _load_spec(args.input)
     config = _build_config(args, spec)
-    threads = _resolve_threads(args.threads)
-    result = compute_exponential(spec, config, threads=threads)
+    result = compute_exponential(spec, config)
     comments = [f"method={config.method}", f"scaling_p={result.scaling_p}",
                 f"n_eff={result.n_eff}"]
     if config.epsilon is not None:
@@ -160,11 +144,10 @@ def cmd_expm(args) -> int:
 
 def cmd_sweep_epsilon(args) -> int:
     spec = _load_spec(args.input)
-    threads = _resolve_threads(args.threads)
     thetas = (_parse_floats(args.thetas) if args.thetas
               else list(np.geomspace(1e-10, 1.0, 21)))
     k_list = _parse_ints(args.k) if args.k else [1]
-    ref, ref_label = _reference(spec, args.oracle_cap, threads)
+    ref, ref_label = _reference(spec, args.oracle_cap)
     use_scaling = not args.no_scaling
 
     lines = [f"# reference={ref_label}",
@@ -173,7 +156,7 @@ def cmd_sweep_epsilon(args) -> int:
         for k in k_list:
             start = time.perf_counter()
             res = exp_btt_eps_averaged(spec, theta, k, use_scaling,
-                                       threads=threads, allow_large_eps=True)
+                                       allow_large_eps=True)
             wall = time.perf_counter() - start
             rep = error_report(res.y, ref)
             lines.append(",".join([
@@ -185,64 +168,25 @@ def cmd_sweep_epsilon(args) -> int:
 
 def cmd_sweep_K(args) -> int:
     spec = _load_spec(args.input)
-    threads = _resolve_threads(args.threads)
     if args.K_list:
         k_values = _parse_ints(args.K_list)
     else:
         base = _next_pow2(spec.n)
         k_values = [base * f for f in (1, 2, 4, 8)]
-    ref, ref_label = _reference(spec, args.oracle_cap, threads)
+    ref, ref_label = _reference(spec, args.oracle_cap)
     use_scaling = not args.no_scaling
 
     lines = [f"# reference={ref_label}",
              "K,cw_abs,cw_rel,nw_abs,nw_rel,wall_time,predicted_fK"]
     for K in k_values:
         start = time.perf_counter()
-        res = exp_btt_embedding(spec, K, use_scaling, threads=threads)
+        res = exp_btt_embedding(spec, K, use_scaling)
         wall = time.perf_counter() - start
         rep = error_report(res.y, ref)
         predicted = res.predicted_bounds["tail"]
         lines.append(",".join([
             str(K), _fmt(rep.cw_abs), _fmt(rep.cw_rel), _fmt(rep.nw_abs),
             _fmt(rep.nw_rel), _fmt(wall), _fmt(predicted)]))
-    _write_text(args.out, "\n".join(lines) + "\n")
-    return 0
-
-
-def _time_call(fn, repeats: int = 2) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def cmd_bench(args) -> int:
-    n_list = _parse_ints(args.n_list) if args.n_list else [256, 512, 1024, 2048]
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    threads = _resolve_threads(args.threads)
-    lines = ["n,method,wall_time"]
-    for idx, n in enumerate(n_list):
-        spec = random_subgenerator(n, args.m, seed=args.seed + idx,
-                                   alpha_target=args.alpha_target)
-        p = scaling_exponent(spec)
-        eps = select_epsilon(spec.scaled(p))
-        runs = {
-            "epc": lambda s=spec, e=eps: compute_exponential(
-                s, MethodConfig("eps_circulant", epsilon=e), threads=threads),
-            "emb": lambda s=spec: compute_exponential(
-                s, MethodConfig("embedding", K=4 * _next_pow2(s.n)), threads=threads),
-            "taylor": lambda s=spec: compute_exponential(
-                s, MethodConfig("taylor", taylor_tol=1e-15, max_terms=200)),
-            "dense": lambda s=spec: expm_dense_oracle(s, cap=args.oracle_cap),
-        }
-        for method in methods:
-            if method not in runs:
-                raise ParseError(f"unknown bench method {method!r}")
-            if method == "dense" and n * args.m > args.oracle_cap:
-                continue
-            lines.append(f"{n},{method},{_fmt(_time_call(runs[method]))}")
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -286,8 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, with_input=True):
         if with_input:
             p.add_argument("input", help="block-vector file (btt v1 format)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker parallelism cap (default: BTT_EXPM_THREADS or 1)")
         p.add_argument("--out", default=None, help="output path ('-' for stdout)")
 
     p = sub.add_parser("expm", help="compute the exponential row with one method")
@@ -318,16 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-scaling", action="store_true", dest="no_scaling")
     p.add_argument("--oracle-cap", type=int, default=512, dest="oracle_cap")
 
-    p = sub.add_parser("bench", help="wall-clock times per method and size")
-    common(p, with_input=False)
-    p.add_argument("--n-list", default=None, dest="n_list",
-                   help="comma list of block counts (default 256,512,1024,2048)")
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--methods", default="epc,emb,taylor,dense")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alpha-target", type=float, default=2.0, dest="alpha_target")
-    p.add_argument("--oracle-cap", type=int, default=512, dest="oracle_cap")
-
     p = sub.add_parser("validate", help="check an instance, print derived parameters")
     p.add_argument("input")
 
@@ -348,7 +280,6 @@ _COMMANDS = {
     "expm": cmd_expm,
     "sweep-epsilon": cmd_sweep_epsilon,
     "sweep-K": cmd_sweep_K,
-    "bench": cmd_bench,
     "validate": cmd_validate,
     "gen": cmd_gen,
 }

@@ -1,9 +1,12 @@
 """Evaluators for the error bounds that drive parameter selection and
 validation: FFT roundoff bounds for the two circulant exponentials, the
-eps-circulant approximation bound, the off-diagonal decay bound, the
-circulant-embedding tail bound and the size function minimized to pick the
-embedding length, the Taylor truncation bound, and the bound on the mass of
-the exponential row beyond a given block that picks the effective length.
+eps-circulant approximation bound, the Taylor truncation bound, and the one
+tail bound, on the mass of the exponential row beyond a given block.  The
+tail bound, minimized over log sigma in ``exp_btt``, picks the effective
+length, picks the embedding length K and bounds the embedding's error: the
+K-circulant's row is exp(U(z)) mod (z**K - 1), whose block k is
+sum_{l>=0} Y_{k+lK}, so with every Y nonnegative its error on the leading
+blocks is at most the row's mass beyond block K.
 
 All evaluators are closed-form over-estimates; the tests check computed
 errors against them on synthetic instances.
@@ -25,11 +28,7 @@ __all__ = [
     "chi_bound",
     "eps_roundoff_bound",
     "circulant_roundoff_bound",
-    "decay_bound",
     "eps_approx_bound",
-    "embedding_log_bound_fK",
-    "embedding_bound_fK",
-    "embedding_size_g",
     "taylor_truncation_bound",
     "row_tail_log_bound",
 ]
@@ -92,18 +91,6 @@ def circulant_roundoff_bound(chi: float, m: int, mu: float = _MU) -> float:
     return mu * m * chi
 
 
-def decay_bound(alpha: float, n: int, sigma: float, i: int) -> float:
-    """Bound on the row sums of block i of the exponential of a subgenerator
-    with bandwidth n: exp(alpha*(sigma**(n-1) - 1)) * sigma**(-i)."""
-    sigma = float(sigma)
-    if sigma <= 1:
-        raise ValueError(f"sigma must exceed 1, got {sigma}")
-    try:
-        return math.exp(alpha * (sigma ** (n - 1) - 1.0)) * sigma ** (-i)
-    except OverflowError:
-        return math.inf
-
-
 def eps_approx_bound(l_norm: float, epsilon: complex) -> float:
     """Approximation error of replacing the triangular matrix by its
     eps-circulant: expm1(|eps| * l_norm), improving to
@@ -114,66 +101,6 @@ def eps_approx_bound(l_norm: float, epsilon: complex) -> float:
     if epsilon.real == 0:
         t = t * t
     return math.expm1(t)
-
-
-def embedding_log_bound_fK(alpha: float, l_norm: float, n: int, K: int,
-                           log_sigma: float) -> float:
-    """Natural log of :func:`embedding_bound_fK` at sigma = exp(log_sigma).
-
-    Summed term by term, so it stays finite where the factors of the bound
-    overflow or underflow (sigma**(n-1) and sigma**-(K-n) at n, K ~ 1e5);
-    -inf when l_norm is 0, inf only when the bound itself overflows.
-    """
-    t = float(log_sigma)
-    if not t > 0:
-        raise ValueError(f"log_sigma must be positive, got {t}")
-    if K < n:
-        raise ValueError(f"embedding length K = {K} must be at least n = {n}")
-    if l_norm == 0:
-        return -math.inf
-    try:
-        growth = alpha * math.expm1((n - 1) * t)
-    except OverflowError:
-        return math.inf
-    # log(expm1(l)) and log(1 - 1/sigma), both without overflow or cancellation
-    return (l_norm + math.log(-math.expm1(-l_norm)) + growth
-            - (K - n) * t - math.log(-math.expm1(-t)))
-
-
-def embedding_bound_fK(alpha: float, l_norm: float, n: int, K: int, sigma: float) -> float:
-    """Tail bound on the first n blocks of the K-circulant embedding error,
-    valid for every sigma > 1:
-    expm1(l_norm) * exp(alpha*(sigma**(n-1) - 1)) * sigma**-(K-n) / (1 - 1/sigma)."""
-    sigma = float(sigma)
-    if sigma <= 1:
-        raise ValueError(f"sigma must exceed 1, got {sigma}")
-    log_f = embedding_log_bound_fK(alpha, l_norm, n, K, math.log1p(sigma - 1.0))
-    try:
-        return math.exp(log_f)
-    except OverflowError:
-        return math.inf
-
-
-def embedding_size_g(alpha: float, l_norm: float, n: int, target_error: float,
-                     sigma: float) -> float:
-    """Smallest (real) embedding length that pushes the tail bound at this
-    sigma below ``target_error``; minimizing over sigma gives the selection
-    rule.  Returns -inf when l_norm is 0 (the embedding is then exact)."""
-    sigma = float(sigma)
-    if sigma <= 1:
-        raise ValueError(f"sigma must exceed 1, got {sigma}")
-    if target_error <= 0:
-        raise ValueError("target_error must be positive")
-    if l_norm == 0:
-        return -math.inf
-    try:
-        num = (alpha * (sigma ** (n - 1) - 1.0)
-               + math.log(sigma / (sigma - 1.0))
-               + math.log(1.0 / target_error)
-               + math.log(math.expm1(l_norm)))
-    except OverflowError:
-        return math.inf
-    return num / math.log(sigma) + n
 
 
 def taylor_truncation_bound(spec: SubgeneratorSpec, r: int) -> float:

@@ -8,7 +8,7 @@ Four routes, all returning the first block-row of the exponential:
 * ``exp_btt_eps_averaged``: average the real parts over k rotated values of
   eps, cancelling the error terms below degree 2k.
 * ``exp_btt_embedding``: embed into a K-circulant and keep the leading blocks;
-  the error decays exponentially in K - n.
+  the error is at most the row's mass beyond block K.
 * ``exp_btt_taylor``: shifted Taylor series with structured products, summing
   only nonnegative terms.
 
@@ -19,7 +19,10 @@ squarings -> zero-filled tail.
   route works on the leading n' blocks only.  ``effective_length`` picks n'
   as the smallest power of two at which an a-priori bound puts the row's
   mass beyond n' below roundoff relative to the row, and n' = n whenever
-  the bound cannot certify less.
+  the bound cannot certify less.  The same bound, on the row's mass beyond
+  block L (``error_analysis.row_tail_log_bound`` minimized over log sigma),
+  also picks the embedding length (``select_embedding_K``) and bounds the
+  embedding's error (``embedding_tail_bound``).
 * scale: the input is divided by 2**p so the decay rate is at most 1.
 * pad: lengths that are not powers of two are zero-padded (the padded
   exponential contains the original one as its leading principal part).
@@ -35,7 +38,6 @@ import cmath
 import dataclasses
 import math
 import mmap
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -170,7 +172,7 @@ def _finish(y: np.ndarray, p: int, n_eff: int, n: int) -> BlockVector:
 
 
 def exp_btt_eps(spec: SubgeneratorSpec, epsilon: complex, use_scaling: bool = True,
-                *, threads: int = 1, allow_large_eps: bool = False) -> ExpResult:
+                *, allow_large_eps: bool = False) -> ExpResult:
     """Approximate the exponential row via the eps-circulant exponential.
 
     Requires ``0 < |epsilon| < 1`` unless ``allow_large_eps`` is set.  The
@@ -188,7 +190,7 @@ def exp_btt_eps(spec: SubgeneratorSpec, epsilon: complex, use_scaling: bool = Tr
     p = scaling_exponent(spec) if use_scaling else 0
     sspec = spec.leading(n_eff).scaled(p)
     padded = _pad(sspec.u.data, _next_pow2(n_eff))
-    yc = exp_eps_circulant(BlockVector._wrap(padded), epsilon, threads=threads,
+    yc = exp_eps_circulant(BlockVector._wrap(padded), epsilon,
                            allow_large_eps=allow_large_eps)
     y = _finish(np.ascontiguousarray(yc.data.real), p, n_eff, spec.n)
 
@@ -204,11 +206,10 @@ def exp_btt_eps(spec: SubgeneratorSpec, epsilon: complex, use_scaling: bool = Tr
 
 
 def exp_btt_eps_averaged(spec: SubgeneratorSpec, theta_mag: float, k: int,
-                         use_scaling: bool = True, *, threads: int = 1,
+                         use_scaling: bool = True, *,
                          allow_large_eps: bool = False) -> ExpResult:
     """Average the real parts of the eps-circulant rows over the k values
     eps_j = i**(1/k) * w_k**j * theta, cancelling error terms below degree 2k.
-    The k computations are independent and run in parallel when threads > 1.
     """
     if k < 1 or int(k) != k:
         raise ValueError("k must be a positive integer")
@@ -225,14 +226,8 @@ def exp_btt_eps_averaged(spec: SubgeneratorSpec, theta_mag: float, k: int,
     root_i = cmath.exp(1j * math.pi / (2 * k))  # principal k-th root of i
     eps_list = [root_i * cmath.exp(2j * math.pi * j / k) * theta_mag for j in range(k)]
 
-    def one(eps: complex) -> np.ndarray:
-        return exp_eps_circulant(padded, eps, allow_large_eps=allow_large_eps).data.real
-
-    if threads > 1 and k > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, k)) as pool:
-            rows = list(pool.map(one, eps_list))
-    else:
-        rows = [one(eps) for eps in eps_list]
+    rows = [exp_eps_circulant(padded, eps, allow_large_eps=allow_large_eps).data.real
+            for eps in eps_list]
     mean = np.ascontiguousarray(sum(rows) / k)
     y = _finish(mean, p, n_eff, spec.n)
 
@@ -247,22 +242,26 @@ def exp_btt_eps_averaged(spec: SubgeneratorSpec, theta_mag: float, k: int,
                      predicted_bounds=bounds)
 
 
-def exp_btt_embedding(spec: SubgeneratorSpec, K: int, use_scaling: bool = True,
-                      *, threads: int = 1) -> ExpResult:
+def exp_btt_embedding(spec: SubgeneratorSpec, K: int,
+                      use_scaling: bool = True) -> ExpResult:
     """Exponential row via embedding into a block-circulant of K blocks
     (rounded up to a power of two); the leading n blocks over-estimate the
-    true ones by a tail that decays exponentially in K - n.
+    true ones by at most the row's mass beyond block K, which
+    ``embedding_tail_bound`` bounds.
 
     On the leading n' blocks the circulant keeps the caller's oversampling:
-    it has K * pad(n') / pad(n) blocks, which is the K the result reports.
+    it has K * pad(n') / pad(n) blocks, and the reported tail bound is taken
+    there.  The result reports K rounded up to a power of two, so passing
+    ``method_used`` back reproduces the result.
     """
     if K < spec.n:
         raise ValueError(f"K = {K} must be at least n = {spec.n}")
     n_eff, truncation = effective_length(spec)
-    K2 = _next_pow2(K) * _next_pow2(n_eff) // _next_pow2(spec.n)
+    K = _next_pow2(K)
+    K2 = K * _next_pow2(n_eff) // _next_pow2(spec.n)
     p = scaling_exponent(spec) if use_scaling else 0
     sspec = spec.leading(n_eff).scaled(p)
-    s = exp_circulant(BlockVector._wrap(_pad(sspec.u.data, K2)), threads=threads)
+    s = exp_circulant(BlockVector._wrap(_pad(sspec.u.data, K2)))
     lead = _pad(s.data[:n_eff], _next_pow2(n_eff))
     y = _finish(lead, p, n_eff, spec.n)
 
@@ -274,35 +273,18 @@ def exp_btt_embedding(spec: SubgeneratorSpec, K: int, use_scaling: bool = True,
         "roundoff": ea.circulant_roundoff_bound(chi, spec.m),
         "truncation": truncation,
     }
-    config = MethodConfig("embedding", K=K2, use_scaling=use_scaling)
+    config = MethodConfig("embedding", K=K, use_scaling=use_scaling)
     return ExpResult(y=y, method_used=config, scaling_p=p, n_eff=n_eff,
                      predicted_bounds=bounds)
 
 
-def _power_radius(a: np.ndarray, iters: int = 60) -> float:
-    # Perron root estimate of a nonnegative matrix by power iteration
-    x = np.ones(a.shape[0])
-    radius = 0.0
-    for _ in range(iters):
-        y = a @ x
-        top = float(y.max())
-        if top == 0.0:
-            return 0.0
-        radius = top
-        x = y / top
-    return radius
-
-
-def exp_btt_taylor(spec: SubgeneratorSpec, tol: float, max_terms: int = 200,
-                   *, spectral_estimate: bool = False) -> ExpResult:
+def exp_btt_taylor(spec: SubgeneratorSpec, tol: float, max_terms: int = 200) -> ExpResult:
     """Exponential row via the shifted Taylor series.
 
     The leading block is shifted by alpha*I so the whole series is
     nonnegative.  The scaling exponent is ``scaling_exponent(spec)``: the
     shifted row has inf-norm at most alpha, because every row of U sums to
-    at most 0.  With ``spectral_estimate`` it comes instead from the
-    spectral radius of the shifted leading block, which can save squarings
-    for lopsided blocks.  Terms are added until the latest term is below
+    at most 0.  Terms are added until the latest term is below
     ``tol`` relative to the running sum, else the method fails after
     ``max_terms``.
     """
@@ -317,11 +299,7 @@ def exp_btt_taylor(spec: SubgeneratorSpec, tol: float, max_terms: int = 200,
     shifted = _pad(spec.u.data[:n_eff], _next_pow2(n_eff))
     shifted[0] += alpha * np.eye(m)
 
-    if spectral_estimate:
-        rho = _power_radius(shifted[0])
-        p = int(math.floor(math.log2(rho))) + 1 if rho > 1.0 else 0
-    else:
-        p = scaling_exponent(spec)
+    p = scaling_exponent(spec)
     v = shifted / 2.0 ** p
     vb = BlockVector._wrap(v.copy())
 
@@ -373,13 +351,19 @@ def select_epsilon(spec: SubgeneratorSpec, imaginary: bool = True,
     return 1j * mag if imaginary else complex(mag)
 
 
-def _golden_min(fn, lo: float, hi: float, iters: int = 200) -> float:
+# golden-section steps of each search over log sigma: the interval shrinks
+# by 0.618 per step, and the lengths found are rounded up to a power of two
+_LOG_SIGMA_STEPS = 24
+
+
+def _golden_min(fn, hi: float) -> float:
+    """Point of (0, hi] minimizing a quasi-convex fn, by golden section."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b = 0.0, hi
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = fn(c), fn(d)
-    for _ in range(iters):
+    for _ in range(_LOG_SIGMA_STEPS):
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
@@ -391,47 +375,73 @@ def _golden_min(fn, lo: float, hi: float, iters: int = 200) -> float:
     return c if fc <= fd else d
 
 
-# log sigma range searched by both embedding rules (size function, tail bound)
-_LOG_SIGMA_RANGE = (1e-6, 10.0)
+def _row_sums(spec: SubgeneratorSpec) -> np.ndarray:
+    """U_j 1 for j = 0..b, b the last nonzero block (0 for a block-diagonal
+    row), as ``row_tail_log_bound`` takes them."""
+    u = spec.u.data
+    sums = u[:, :, 0].copy()  # a column at a time: faster than sum(axis=2)
+    for col in range(1, spec.m):
+        sums += u[:, :, col]
+    # blocks after the first are nonnegative, so U_j 1 = 0 only when U_j = 0;
+    # b is the last nonzero block, found from the end by argmax
+    nonzero = sums[:0:-1].reshape(-1) != 0
+    if not nonzero.any():
+        return sums[:1]
+    return sums[:spec.n - int(np.argmax(nonzero)) // spec.m]
+
+
+def _least_length(row_sums: np.ndarray, log_target: float) -> tuple[float, float]:
+    """Least real L at which the tail bound is at most e**log_target, and the
+    log sigma that attains it: min over t of (bound at L = 0 - log_target) / t,
+    a quasi-convex function of t (inf when the bound overflows)."""
+
+    def length(t: float) -> float:
+        return (ea.row_tail_log_bound(row_sums, 0, t) - log_target) / t
+
+    t = _golden_min(length, 700.0 / (row_sums.shape[0] - 1))
+    return length(t), t
+
+
+def _log_tail(row_sums: np.ndarray, L: int) -> float:
+    """Log of the tail bound at L, minimized over log sigma; the bound is
+    convex in log sigma."""
+
+    def log_tail(t: float) -> float:
+        return ea.row_tail_log_bound(row_sums, L, t)
+
+    t = _golden_min(log_tail, 700.0 / (row_sums.shape[0] - 1))
+    return log_tail(t)
 
 
 def embedding_tail_bound(spec: SubgeneratorSpec, K: int) -> float:
-    """Tail bound f_K on the first n blocks of the K-circulant embedding,
-    minimized over sigma by golden-section search on log sigma (the range
-    ``select_embedding_K`` searches).  Pass the scaled instance."""
-
-    def log_f(t: float) -> float:
-        return ea.embedding_log_bound_fK(spec.alpha, spec.l_norm, spec.n, K, t)
-
-    t_star = _golden_min(log_f, *_LOG_SIGMA_RANGE)
-    return ea.embedding_bound_fK(spec.alpha, spec.l_norm, spec.n, K, math.exp(t_star))
+    """Bound on the error of the K-circulant embedding on the leading blocks:
+    the row's mass beyond block K, ``row_tail_log_bound`` minimized over
+    log sigma.  0.0 for a block-diagonal row, where the embedding is exact.
+    Pass the instance the circulant is built from (scaled, leading n')."""
+    if K < spec.n:
+        raise ValueError(f"K = {K} must be at least n = {spec.n}")
+    row_sums = _row_sums(spec)
+    if row_sums.shape[0] == 1:
+        return 0.0
+    return math.exp(_log_tail(row_sums, K))
 
 
 def select_embedding_K(spec: SubgeneratorSpec, target_error: float) -> int:
-    """Smallest power-of-two embedding length whose tail bound can be pushed
-    below ``target_error``, found by minimizing the size function over sigma
-    (golden-section search on log sigma in [1e-6, 10])."""
+    """Smallest power-of-two embedding length, at least n, at which the tail
+    bound of ``embedding_tail_bound`` is at most ``target_error``: the least
+    length found by one golden-section search over log sigma, rounded up.
+    Pass the scaled instance.  The embedding reports its tail at
+    K pad(n') / pad(n) on the scaled leading n' blocks, which meets any
+    target of at least mu/8 too: when n' = n it is the bound at K, and when
+    n' < n the unscaled row's bound at n' is at most (mu/8) e**s_min, so the
+    scaled leading row's bound at the same sigma is at most mu/8."""
     if not target_error > 0:
         raise ValueError("target_error must be positive")
-    n = spec.n
-    if spec.l_norm == 0:
-        return _next_pow2(n)
-
-    def g_of_log(t: float) -> float:
-        return ea.embedding_size_g(spec.alpha, spec.l_norm, n, target_error, math.exp(t))
-
-    t_star = _golden_min(g_of_log, *_LOG_SIGMA_RANGE)
-    g_star = g_of_log(t_star)
-    base = max(g_star, float(n))
-    k = 1
-    while k <= base:
-        k <<= 1
-    return k
-
-
-# golden-section steps of the n' search: the interval shrinks by 0.618 per
-# step, and n' is rounded up to a power of two anyway
-_LENGTH_SEARCH_STEPS = 24
+    row_sums = _row_sums(spec)
+    if row_sums.shape[0] == 1:
+        return _next_pow2(spec.n)
+    need, _ = _least_length(row_sums, math.log(target_error))
+    return _next_pow2(max(math.ceil(need), spec.n))
 
 
 def effective_length(spec: SubgeneratorSpec) -> tuple[int, float]:
@@ -442,52 +452,33 @@ def effective_length(spec: SubgeneratorSpec) -> tuple[int, float]:
     minimized over log sigma, is at most (mu/8) e**s_min, capped at n; s_min
     is the least row sum of S = sum_j U_j.  The row's mass is at least
     e**s_min, so the dropped tail stays below roundoff relative to the row.
-    The least such length is min over t of (bound at L = 0 - log target) / t,
-    a quasi-convex function of t, found by one golden-section search; when
-    n' < n, a second search over t sharpens the reported bound at n'.  Each
-    evaluation costs O(b m), b the last nonzero block.
+    Each evaluation of the bound costs O(b m), b the last nonzero block.
     """
-    n, m = spec.n, spec.m
-    u = spec.u.data
-    row_sums = u[:, :, 0].copy()  # U_j 1, a column at a time: faster than sum(axis=2)
-    for col in range(1, m):
-        row_sums += u[:, :, col]
-    # blocks after the first are nonnegative, so U_j 1 = 0 only when U_j = 0;
-    # b is the last nonzero block, found from the end by argmax
-    nonzero = row_sums[:0:-1].reshape(-1) != 0
-    if not nonzero.any():
+    n = spec.n
+    row_sums = _row_sums(spec)
+    if row_sums.shape[0] == 1:
         return 1, 0.0  # block-diagonal: every block after the first is zero
-    b = n - 1 - int(np.argmax(nonzero)) // m
-    row_sums = row_sums[:b + 1]
     log_target = math.log(_MU / 8.0) + float(row_sums.sum(axis=0).min())
-    t_max = 700.0 / b
-
-    def least_length(t: float) -> float:
-        return (ea.row_tail_log_bound(row_sums, 0, t) - log_target) / t
-
-    t_len = _golden_min(least_length, 0.0, t_max, _LENGTH_SEARCH_STEPS)
-    need = least_length(t_len)  # inf when the bound overflows
+    need, t_len = _least_length(row_sums, log_target)
     n_eff = _next_pow2(math.ceil(need)) if need < n else n
     if n_eff >= n:
         return n, 0.0
-
-    def log_tail(t: float) -> float:
-        return ea.row_tail_log_bound(row_sums, n_eff, t)
-
-    t_tail = _golden_min(log_tail, 0.0, t_max, _LENGTH_SEARCH_STEPS)
-    return n_eff, math.exp(min(log_tail(t_len), log_tail(t_tail)))
+    # the length search's log sigma already meets the target at n'
+    log_tail = min(_log_tail(row_sums, n_eff),
+                   ea.row_tail_log_bound(row_sums, n_eff, t_len))
+    return n_eff, math.exp(log_tail)
 
 
 def compute_exponential(spec: SubgeneratorSpec, config: MethodConfig, *,
-                        threads: int = 1, allow_large_eps: bool = False) -> ExpResult:
+                        allow_large_eps: bool = False) -> ExpResult:
     """Dispatch a MethodConfig to the matching method."""
     if config.method == "eps_circulant":
         return exp_btt_eps(spec, config.epsilon, config.use_scaling,
-                           threads=threads, allow_large_eps=allow_large_eps)
+                           allow_large_eps=allow_large_eps)
     if config.method == "eps_averaged":
         return exp_btt_eps_averaged(spec, config.theta_mag, config.k,
-                                    config.use_scaling, threads=threads,
+                                    config.use_scaling,
                                     allow_large_eps=allow_large_eps)
     if config.method == "embedding":
-        return exp_btt_embedding(spec, config.K, config.use_scaling, threads=threads)
+        return exp_btt_embedding(spec, config.K, config.use_scaling)
     return exp_btt_taylor(spec, config.taylor_tol, config.max_terms)

@@ -6,15 +6,13 @@ epsilon), so the exponential reduces to independent m x m exponentials in
 the transformed domain plus two block transforms.  A real circulant has a
 Hermitian spectrum, so only its n//2 + 1 leading frequencies are
 exponentiated and the real inverse transform restores the rest.  The small
-exponentials are one call of the stacked kernel ``dense_expm._expm_stack``;
-they carry no ordering dependence and may be split across threads.
+exponentials are one call of the stacked kernel ``dense_expm._expm_stack``.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -25,16 +23,7 @@ from .fft_transforms import _transform_stack
 __all__ = ["exp_eps_circulant", "exp_circulant"]
 
 
-def _exp_blocks(v: np.ndarray, threads: int) -> np.ndarray:
-    if threads > 1 and v.shape[0] > 1:
-        chunks = np.array_split(v, min(threads, v.shape[0]))
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(pool.map(_expm_stack, chunks))
-        return np.concatenate(parts, axis=0)
-    return _expm_stack(v)
-
-
-def exp_eps_circulant(u: BlockVector, epsilon: complex, *, threads: int = 1,
+def exp_eps_circulant(u: BlockVector, epsilon: complex, *,
                       allow_large_eps: bool = False) -> BlockVector:
     """First block-row Y of the exponential of the block-eps-circulant matrix
     with first block-row ``u``.
@@ -56,16 +45,16 @@ def exp_eps_circulant(u: BlockVector, epsilon: complex, *, threads: int = 1,
     log_theta = (math.log(abs(epsilon)) + 1j * cmath.phase(epsilon)) / n
     k = np.arange(n)[:, None, None]
     v = _transform_stack(u.data * np.exp(k * log_theta), n)
-    v = _exp_blocks(v, threads)  # rebinding frees the transform before the inverse
+    v = _expm_stack(v)  # rebinding frees the transform before the inverse
     y = _transform_stack(v, n, inverse=True)
     y *= np.exp(-k * log_theta)
     return BlockVector._wrap(y)
 
 
-def exp_circulant(u: BlockVector, *, threads: int = 1) -> BlockVector:
+def exp_circulant(u: BlockVector) -> BlockVector:
     """First block-row Y of the exponential of the block-circulant matrix with
     first block-row ``u``.  Real input yields a real result."""
     n = u.n
     v = _transform_stack(u.data, n, real=u.is_real)
-    v = _exp_blocks(v, threads)  # rebinding frees the transform before the inverse
+    v = _expm_stack(v)  # rebinding frees the transform before the inverse
     return BlockVector._wrap(_transform_stack(v, n, inverse=True, real=u.is_real))

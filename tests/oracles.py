@@ -136,3 +136,11 @@ def brute_error_metrics(computed, reference):
     nw_abs = row_diff.max()
     nw_rel = nw_abs / row_ref.max()
     return cw_abs, cw_rel, float(nw_abs), float(nw_rel)
+
+
+def row_sums(spec):
+    """U_j 1 for j = 0..b, b the last nonzero block, the input of
+    ``error_analysis.row_tail_log_bound``."""
+    sums = spec.u.data.sum(axis=2)
+    far = np.flatnonzero(sums[1:].any(axis=1))
+    return sums[:far[-1] + 2]

@@ -6,10 +6,11 @@ import pytest
 
 from btt_expm.block_linalg import BlockVector, validate_subgenerator
 from btt_expm.dense_expm import assemble_btt_dense, expm_dense_oracle, expm_small
+from btt_expm.exp_btt import embedding_tail_bound, exp_btt_embedding
 from btt_expm.model_gen import banded_subgenerator, random_subgenerator
 from btt_expm import error_analysis as ea
 
-from oracles import dense_eps_circulant, scalar_btt_expm
+from oracles import dense_eps_circulant, row_sums, scalar_btt_expm
 
 
 class TestConstants:
@@ -65,31 +66,44 @@ class TestPhiChi:
 
 
 class TestDecayBound:
+    """Block i of the exponential row is below the row's mass from block i
+    on, so the tail bound at L = i is a decay bound for block i."""
+
     def test_sigma_near_one(self):
+        # rows of S = sum_j U_j sum to 0: the bound tends to e**0 = 1
+        sums = np.array([[-2.0], [1.5], [0.5]])
         for i in (0, 3, 10):
-            assert ea.decay_bound(2.0, 4, 1.0 + 1e-12, i) == pytest.approx(1.0, abs=1e-9)
+            bound = math.exp(ea.row_tail_log_bound(sums, i, 1e-12))
+            assert bound == pytest.approx(1.0, abs=1e-9)
 
     def test_alpha_zero(self):
-        assert ea.decay_bound(0.0, 4, 2.0, 3) == pytest.approx(2.0 ** -3)
+        assert ea.row_tail_log_bound(np.zeros((4, 1)), 3, math.log(2.0)) \
+            == pytest.approx(-3 * math.log(2.0), rel=1e-15)
 
     def test_sigma_at_most_one_rejected(self):
-        with pytest.raises(ValueError):
-            ea.decay_bound(1.0, 4, 1.0, 0)
+        for sigma in (1.0, 0.5):
+            with pytest.raises(ValueError):
+                ea.row_tail_log_bound(np.array([[-1.0], [1.0]]), 0, math.log(sigma))
 
     def test_computed_blocks_satisfy_bound(self):
         spec = random_subgenerator(4, 2, seed=1, alpha_target=0.5)
         a = expm_dense_oracle(spec)
+        sums = row_sums(spec)
         for i in range(spec.n):
             rows = a.data[i].sum(axis=1).max()
-            assert rows <= ea.decay_bound(spec.alpha, spec.n, 1.05, i) * (1 + 1e-10)
+            bound = math.exp(ea.row_tail_log_bound(sums, i, math.log(1.05)))
+            assert rows <= bound * (1 + 1e-10)
 
     def test_banded_blocks_satisfy_band_bound(self):
         spec = banded_subgenerator(8, 2, bandwidth=2, seed=2, alpha_target=0.8)
         a = expm_dense_oracle(spec)
+        sums = row_sums(spec)
+        assert sums.shape == (2, 2)
         for sigma in (1.05, 1.2, 2.0):
             for i in range(spec.n):
                 rows = a.data[i].sum(axis=1).max()
-                assert rows <= ea.decay_bound(spec.alpha, 2, sigma, i) * (1 + 1e-10)
+                bound = math.exp(ea.row_tail_log_bound(sums, i, math.log(sigma)))
+                assert rows <= bound * (1 + 1e-10)
 
 
 class TestEpsApproxBound:
@@ -113,41 +127,58 @@ class TestEpsApproxBound:
 
 
 class TestEmbeddingBound:
+    """The embedding's error on the leading blocks is at most the row's mass
+    beyond block K: the tail bound at L = K, minimized over log sigma."""
+
     def test_shift_by_one_in_K(self):
-        f1 = ea.embedding_bound_fK(0.5, 0.8, 4, 16, 3.0)
-        f2 = ea.embedding_bound_fK(0.5, 0.8, 4, 17, 3.0)
-        assert f2 == pytest.approx(f1 / 3.0, rel=1e-12)
+        spec = random_subgenerator(4, 2, seed=4, alpha_target=0.5)
+        sums = row_sums(spec)
+        t = math.log(3.0)
+        f16 = ea.row_tail_log_bound(sums, 16, t)
+        assert ea.row_tail_log_bound(sums, 17, t) == pytest.approx(f16 - t, rel=1e-12)
+        assert embedding_tail_bound(spec, 17) < embedding_tail_bound(spec, 16)
 
     def test_zero_l_norm(self):
-        assert ea.embedding_bound_fK(0.5, 0.0, 4, 16, 2.0) == 0.0
+        spec = banded_subgenerator(4, 2, 1, seed=4, slack=0.5, alpha_target=1.0)
+        assert spec.l_norm == 0.0
+        assert embedding_tail_bound(spec, 4) == 0.0
 
     def test_invalid_arguments(self):
+        spec = random_subgenerator(4, 2, seed=4, alpha_target=0.5)
         with pytest.raises(ValueError):
-            ea.embedding_bound_fK(0.5, 0.8, 4, 2, 2.0)
+            embedding_tail_bound(spec, 2)
         with pytest.raises(ValueError):
-            ea.embedding_bound_fK(0.5, 0.8, 4, 16, 1.0)
+            ea.row_tail_log_bound(row_sums(spec), 16, 0.0)
 
     def test_measured_embedding_error_below_grid_minimum(self):
-        from btt_expm.exp_btt import exp_btt_embedding
         spec = random_subgenerator(4, 2, seed=4, alpha_target=0.3)
-        K = 16
-        res = exp_btt_embedding(spec, K, use_scaling=False)
         ref = expm_dense_oracle(spec)
-        measured = np.abs(res.y.data - ref.data).sum(axis=(0, 2)).max()
-        grid = 1.0 + np.geomspace(1e-3, 99.0, 80)
-        fmin = min(ea.embedding_bound_fK(spec.alpha, spec.l_norm, spec.n, K, s)
-                   for s in grid)
-        assert measured <= fmin
+        sums = row_sums(spec)
+        grid = np.log(1.0 + np.geomspace(1e-3, 99.0, 80))
+        for K in (4, 8):
+            res = exp_btt_embedding(spec, K, use_scaling=False)
+            assert res.n_eff == spec.n
+            measured = np.abs(res.y.data - ref.data).sum(axis=(0, 2)).max()
+            fmin = math.exp(min(ea.row_tail_log_bound(sums, K, t) for t in grid))
+            assert 1e-14 < measured <= fmin
+            assert res.predicted_bounds["tail"] <= fmin
 
     def test_size_function_relation(self):
-        # K > g(sigma) exactly when f_K(sigma) < target
-        alpha, l, n, target, sigma = 0.4, 0.6, 4, 1e-9, 2.5
-        g = ea.embedding_size_g(alpha, l, n, target, sigma)
-        k_lo = int(math.floor(g))
-        k_hi = int(math.ceil(g)) + 1
-        if k_lo >= n:
-            assert ea.embedding_bound_fK(alpha, l, n, k_lo, sigma) >= target
-        assert ea.embedding_bound_fK(alpha, l, n, k_hi, sigma) < target
+        # the least length at which the bound meets the target,
+        # min over t of (bound at L = 0 - log target) / t: at and above it
+        # some t meets the target, below it none does
+        spec = random_subgenerator(4, 2, seed=10, alpha_target=0.6)
+        sums = row_sums(spec)
+        log_target = math.log(1e-9)
+        grid = np.linspace(1e-3, 700.0 / (sums.shape[0] - 1), 4000)
+        g = min((ea.row_tail_log_bound(sums, 0, t) - log_target) / t for t in grid)
+        assert g > spec.n
+
+        def meets(L):
+            return min(ea.row_tail_log_bound(sums, L, t) for t in grid) <= log_target
+
+        assert meets(math.ceil(g))
+        assert not meets(math.floor(g))
 
 
 class TestTaylorTruncationBound:
@@ -190,16 +221,10 @@ class TestTaylorTruncationBound:
 
 
 class TestRowTailBound:
-    @staticmethod
-    def row_sums(spec):
-        sums = spec.u.data.sum(axis=2)
-        far = np.flatnonzero(sums[1:].any(axis=1))
-        return sums[:far[-1] + 2]
-
     def test_bounds_exact_scalar_tail(self):
         spec = banded_subgenerator(512, 1, 3, seed=2, alpha_target=6.0)
         y = scalar_btt_expm(spec.u.data)[:, 0, 0]
-        sums = self.row_sums(spec)
+        sums = row_sums(spec)
         assert sums.shape == (3, 1)
         for L in (1, 8, 32, 64, 128):
             exact = y[L:].sum()
@@ -210,7 +235,7 @@ class TestRowTailBound:
     def test_bounds_exact_block_tail(self):
         spec = banded_subgenerator(64, 3, 4, seed=5, slack=0.3, alpha_target=2.0)
         y = expm_dense_oracle(spec).data
-        sums = self.row_sums(spec)
+        sums = row_sums(spec)
         for L in (2, 8, 16, 32):
             exact = y[L:].sum(axis=(0, 2)).max()
             assert exact > 0
@@ -228,7 +253,7 @@ class TestRowTailBound:
         # sigma**b stays finite at log sigma = 700/b; a sum that overflows
         # gives inf (no bound), never nan, and no warning
         spec = banded_subgenerator(4096, 2, 2048, seed=1, alpha_target=50.0)
-        sums = self.row_sums(spec)
+        sums = row_sums(spec)
         t = 700.0 / (sums.shape[0] - 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

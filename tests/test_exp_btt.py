@@ -16,11 +16,13 @@ from btt_expm.exp_btt import (MethodConfig, compute_exponential,
                               repeated_squaring,
                               scaling_exponent, select_embedding_K,
                               select_epsilon)
+from btt_expm.exp_circulant import exp_circulant
 from btt_expm.model_gen import banded_subgenerator, random_subgenerator
 from btt_expm.structured_mul import btt_times_btt
 from btt_expm import error_analysis as ea
+from btt_expm import exp_btt
 
-from oracles import scalar_btt_expm
+from oracles import row_sums, scalar_btt_expm
 
 MU = float(np.finfo(np.float64).eps)
 
@@ -133,12 +135,6 @@ class TestAveragedMethod:
         rep = error_report(exp_btt_eps_averaged(spec, 1e-2, 4).y, ref)
         assert rep.nw_rel <= 100 * MU
 
-    def test_threaded_matches_serial(self):
-        spec = random_subgenerator(8, 2, seed=4, alpha_target=0.5)
-        a = exp_btt_eps_averaged(spec, 1e-2, 4, threads=1).y.data
-        b = exp_btt_eps_averaged(spec, 1e-2, 4, threads=4).y.data
-        np.testing.assert_array_equal(a, b)
-
     def test_parameter_validation(self):
         spec = random_subgenerator(4, 2, seed=3)
         with pytest.raises(ValueError):
@@ -175,32 +171,42 @@ class TestEmbeddingMethod:
         assert (s2 - s1).max() <= 1e-12
 
     def test_error_below_tail_bound(self):
-        spec = random_subgenerator(4, 2, seed=6, alpha_target=0.3)
-        ref = expm_dense_oracle(spec)
-        res = exp_btt_embedding(spec, 16, use_scaling=False)
-        nw = error_report(res.y, ref).nw_abs
-        assert nw <= res.predicted_bounds["tail"] + 1e-13
+        # the error on the leading blocks is at most the row's mass beyond
+        # block K, plus roundoff; at K = n the bound is within 20x of it
+        for spec in (random_subgenerator(4, 2, seed=6, alpha_target=0.3),
+                     random_subgenerator(8, 3, seed=6, alpha_target=2.0)):
+            ref = expm_dense_oracle(spec)
+            for K in (spec.n, 2 * spec.n, 8 * spec.n):
+                res = exp_btt_embedding(spec, K, use_scaling=False)
+                assert res.n_eff == spec.n
+                bound = embedding_tail_bound(spec, K)
+                assert res.predicted_bounds["tail"] == bound
+                nw = error_report(res.y, ref).nw_abs
+                assert nw <= bound + res.predicted_bounds["roundoff"]
+                if K == spec.n:
+                    assert bound <= 20 * nw
 
     def test_reported_tail_is_the_minimized_bound(self):
         spec = random_subgenerator(6, 2, seed=6, alpha_target=3.0)
         res = exp_btt_embedding(spec, 20)
         scaled = spec.scaled(res.scaling_p)
-        assert res.method_used.K == 32
+        assert res.method_used.K == 32 and res.n_eff == 6
         assert res.predicted_bounds["tail"] == embedding_tail_bound(scaled, 32)
-        grid = 1.0 + np.geomspace(1e-3, 99.0, 80)
-        assert res.predicted_bounds["tail"] <= min(
-            ea.embedding_bound_fK(scaled.alpha, scaled.l_norm, 6, 32, s) for s in grid)
+        sums = row_sums(scaled)
+        grid = np.log(1.0 + np.geomspace(1e-3, 99.0, 80))
+        assert res.predicted_bounds["tail"] <= math.exp(
+            min(ea.row_tail_log_bound(sums, 32, t) for t in grid))
 
     def test_tail_bound_finite_at_large_n(self):
-        # at n = 8192 the factors sigma**(n-1) and sigma**-(K-n) overflow and
-        # underflow on every sigma of a fixed grid; their product does not
+        # the bound uses the row's actual band: at n = 8192 it meets 1e-12 at
+        # K = n, where a bound that takes every row to have bandwidth n asked
+        # for K = 32n
         spec = banded_subgenerator(8192, 2, 4, seed=0, alpha_target=200.0)
         scaled = spec.scaled(scaling_exponent(spec))
         K = select_embedding_K(scaled, 1e-12)
-        assert K == 262144
+        assert K == 8192
         bound = embedding_tail_bound(scaled, K)
-        assert math.isfinite(bound)
-        assert bound <= 1e-12
+        assert math.isfinite(bound) and bound <= 1e-12
 
     def test_K_below_n_rejected(self):
         spec = random_subgenerator(4, 2, seed=3)
@@ -262,14 +268,6 @@ class TestTaylorMethod:
             y = y + w.data
             assert y.min() >= -1e-12
 
-    def test_spectral_estimate_variant(self):
-        spec = random_subgenerator(4, 2, seed=7, alpha_target=5.0)
-        ref = expm_dense_oracle(spec)
-        plain = exp_btt_taylor(spec, 1e-15)
-        refined = exp_btt_taylor(spec, 1e-15, spectral_estimate=True)
-        assert error_report(refined.y, ref).nw_rel <= 1e-12
-        assert refined.scaling_p <= plain.scaling_p
-
     def test_scaling_from_whole_row(self):
         # m = 1: the shifted leading block is 0, which gave p = 0 and no
         # convergence within 200 terms at alpha = 200
@@ -327,26 +325,26 @@ class TestSelectEpsilon:
 class TestSelectEmbeddingK:
     def test_selected_K_satisfies_target(self):
         spec = random_subgenerator(4, 2, seed=10, alpha_target=0.6)
-        grid = 1.0 + np.geomspace(1e-4, 999.0, 300)
+        sums = row_sums(spec)
+        grid = np.log(1.0 + np.geomspace(1e-4, 999.0, 300))
         for target in (1e-6, 1e-9, 1e-12):
             K = select_embedding_K(spec, target)
             assert K >= spec.n and K & (K - 1) == 0
-            fmin = min(ea.embedding_bound_fK(spec.alpha, spec.l_norm, spec.n, K, s)
-                       for s in grid)
-            assert fmin < target
+            assert embedding_tail_bound(spec, K) <= target
+            fmin = min(ea.row_tail_log_bound(sums, K, t) for t in grid)
+            assert fmin < math.log(target)
 
     def test_half_size_fails_the_bound(self):
-        # K is the smallest power of two above the minimized size function, so
+        # K is the smallest power of two at or above the least length, so
         # K/2 cannot meet the target at any sigma
         spec = random_subgenerator(4, 2, seed=10, alpha_target=0.6)
-        grid = 1.0 + np.geomspace(1e-4, 999.0, 300)
+        sums = row_sums(spec)
+        grid = np.log(1.0 + np.geomspace(1e-4, 999.0, 300))
         target = 1e-9
         K = select_embedding_K(spec, target)
-        if K // 2 >= spec.n:
-            fmin_half = min(
-                ea.embedding_bound_fK(spec.alpha, spec.l_norm, spec.n, K // 2, s)
-                for s in grid)
-            assert fmin_half >= target
+        assert K // 2 >= spec.n
+        fmin_half = min(ea.row_tail_log_bound(sums, K // 2, t) for t in grid)
+        assert fmin_half >= math.log(target)
 
     def test_looser_target_never_needs_larger_K(self):
         spec = random_subgenerator(8, 2, seed=11, alpha_target=0.6)
@@ -359,16 +357,18 @@ class TestSelectEmbeddingK:
         assert select_embedding_K(spec, 1e-12) == 1
 
     def test_vanishing_alpha_limit(self):
-        # with alpha ~ 0 the size function is dominated by the log(1/target)
-        # term; the returned K must match a brute-force minimization
+        # with alpha ~ 0 the off-diagonal row sums are ~1e-8, and the least
+        # length comes from a large sigma; the returned K must match a
+        # brute-force minimization
         spec = random_subgenerator(4, 2, seed=17, alpha_target=1e-8)
         target = 1e-12
         K = select_embedding_K(spec, target)
-        sigmas = 1.0 + np.geomspace(1e-5, 2e4, 4000)
-        g_min = min(ea.embedding_size_g(spec.alpha, spec.l_norm, spec.n,
-                                        target, s) for s in sigmas)
+        sums = row_sums(spec)
+        grid = np.linspace(1e-4, 700.0 / (sums.shape[0] - 1), 20000)
+        g_min = min((ea.row_tail_log_bound(sums, 0, t) - math.log(target)) / t
+                    for t in grid)
         expect = 1
-        while expect <= max(g_min, spec.n):
+        while expect < max(g_min, spec.n):
             expect <<= 1
         assert K == expect
 
@@ -477,6 +477,23 @@ def run_method(name, spec):
 METHOD_NAMES = ("eps_circulant", "eps_averaged", "embedding", "taylor")
 
 
+def draw_row(data):
+    # the inputs of the property tests: m in {1, 2, 3}, n up to 4096 for
+    # m = 1 and n m <= 192 otherwise, any band, density, slack and alpha
+    m = data.draw(st.sampled_from([1, 1, 2, 3]), label="m")
+    top = 4096 if m == 1 else 192 // m
+    n = data.draw(st.one_of(st.integers(1, top), st.integers(top // 2, top)), label="n")
+    band = data.draw(st.one_of(st.integers(1, min(n, 4)), st.just(n)), label="band")
+    density = data.draw(st.floats(0.2, 1.0), label="density")
+    slack = data.draw(st.sampled_from([0.0, 0.0, 0.1, 1.0]), label="slack")
+    alpha = data.draw(st.sampled_from([0.05, 1.0, 7.0, 50.0, 200.0]), label="alpha")
+    seed = data.draw(st.integers(0, 2 ** 32), label="seed")
+    assume(n * m > 1 or slack > 0)
+    assume(m > 1 or band > 1 or slack > 0)
+    return random_subgenerator(n, m, density=density, slack=slack, seed=seed,
+                               alpha_target=alpha, bandwidth=band)
+
+
 class TestEffectiveLength:
     """Every method runs on the leading n' blocks and returns zeros beyond."""
 
@@ -530,14 +547,32 @@ class TestEffectiveLength:
             np.testing.assert_allclose(res.y.data[0], b0, rtol=1e-12, atol=1e-15)
             assert np.all(res.y.data[1:] == 0)
 
-    def test_embedding_keeps_oversampling(self):
+    def test_embedding_keeps_oversampling(self, monkeypatch):
         spec = banded_subgenerator(1000, 2, 4, seed=2, alpha_target=5.0)
+        lengths = []
+
+        def recording(u):
+            lengths.append(u.n)
+            return exp_circulant(u)
+
+        monkeypatch.setattr(exp_btt, "exp_circulant", recording)
         res = exp_btt_embedding(spec, 3000)
         assert res.n_eff < 512
         # K rounds up to 4096 = 4 pad(n); the circulant keeps 4 pad(n')
-        assert res.method_used.K == 4096 * res.n_eff // 1024
+        assert lengths == [4096 * res.n_eff // 1024]
+        assert res.method_used.K == 4096
         ref = exp_btt_taylor(spec, 1e-15).y
         assert error_report(res.y, ref).nw_rel <= 1e-12
+
+    def test_reported_config_reproduces_result(self):
+        # the reported K was the circulant length 512, below n = 1000, which
+        # compute_exponential rejected
+        spec = banded_subgenerator(1000, 2, 4, seed=2, alpha_target=5.0)
+        res = exp_btt_embedding(spec, 3000)
+        again = compute_exponential(spec, res.method_used)
+        assert again.method_used == res.method_used
+        assert again.predicted_bounds == res.predicted_bounds
+        np.testing.assert_array_equal(again.y.data, res.y.data)
 
     def test_taylor_reports_truncation(self):
         spec = banded_subgenerator(512, 2, 3, seed=1, alpha_target=2.0)
@@ -550,20 +585,10 @@ class TestEffectiveLength:
               suppress_health_check=[HealthCheck.too_slow])
     @given(data=st.data())
     def test_dropped_mass_within_bound(self, data):
-        # exact rows: the scalar recurrence (m = 1, any n) or the dense oracle
-        m = data.draw(st.sampled_from([1, 1, 2, 3]), label="m")
-        top = 4096 if m == 1 else 192 // m
-        n = data.draw(st.one_of(st.integers(1, top), st.integers(top // 2, top)), label="n")
-        band = data.draw(st.one_of(st.integers(1, min(n, 4)), st.just(n)), label="band")
-        density = data.draw(st.floats(0.2, 1.0), label="density")
-        slack = data.draw(st.sampled_from([0.0, 0.0, 0.1, 1.0]), label="slack")
-        alpha = data.draw(st.sampled_from([0.05, 1.0, 7.0, 50.0, 200.0]), label="alpha")
-        seed = data.draw(st.integers(0, 2 ** 32), label="seed")
+        spec = draw_row(data)
         name = data.draw(st.sampled_from(METHOD_NAMES), label="method")
-        assume(n * m > 1 or slack > 0)
-        assume(m > 1 or band > 1 or slack > 0)
-        spec = random_subgenerator(n, m, density=density, slack=slack, seed=seed,
-                                   alpha_target=alpha, bandwidth=band)
+        n, m = spec.n, spec.m
+        # exact rows: the scalar recurrence (m = 1, any n) or the dense oracle
         if m == 1:
             exact = scalar_btt_expm(spec.u.data)
         else:
@@ -585,3 +610,16 @@ class TestEffectiveLength:
             # lose mass past block n (n = 3, alpha = 200) lose relative
             # accuracy in the squarings at any length
             assert error_report(res.y, BlockVector(exact)).nw_rel <= 1e-9
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_selected_K_meets_target(self, data):
+        # the rule picks K on the whole scaled row; the run takes the tail at
+        # the leading n' blocks and K pad(n') / pad(n)
+        spec = draw_row(data)
+        target = data.draw(st.sampled_from([1e-6, 1e-9, 1e-12, 1e-14]), label="target")
+        K = select_embedding_K(spec.scaled(scaling_exponent(spec)), target)
+        res = exp_btt_embedding(spec, K)
+        event("n' < n" if res.n_eff < spec.n else "n' = n")
+        assert res.predicted_bounds["tail"] <= target

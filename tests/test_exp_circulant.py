@@ -127,15 +127,3 @@ class TestStructureAndBounds:
         chi = ea.chi_bound(n, m, float(np.abs(spec.u.data).max()), ymax)
         assert measured <= ea.circulant_roundoff_bound(chi, m)
 
-
-class TestThreads:
-    def test_threaded_run_matches_serial(self):
-        # chunked evaluation may stop the shared Taylor loop at a different
-        # term count, so agreement is to roundoff rather than bitwise
-        spec = random_subgenerator(16, 2, seed=9)
-        a = exp_eps_circulant(spec.u, 1e-2j, threads=1).data
-        b = exp_eps_circulant(spec.u, 1e-2j, threads=4).data
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
-        c = exp_circulant(spec.u, threads=1).data
-        d = exp_circulant(spec.u, threads=4).data
-        np.testing.assert_allclose(c, d, rtol=1e-12, atol=1e-15)

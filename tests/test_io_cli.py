@@ -261,28 +261,3 @@ class TestCli:
             rows = capsys.readouterr().out.strip().splitlines()
             return [",".join(ln.split(",")[:-1]) for ln in rows]  # drop wall_time
         assert run() == run()
-
-    def test_bench_rows_present(self, capsys):
-        assert main(["bench", "--n-list", "8,16", "--m", "2",
-                     "--methods", "epc,emb,taylor,dense", "--seed", "1",
-                     "--out", "-"]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0] == "n,method,wall_time"
-        rows = [ln.split(",") for ln in lines[1:]]
-        assert len(rows) == 2 * 4
-        assert all(float(r[2]) >= 0 for r in rows)
-
-    def test_threads_flag_accepted(self, instance_file, capsys):
-        assert main(["expm", instance_file, "--method", "eps-averaged",
-                     "--epsilon", "1e-2i", "--k", "4", "--threads", "2",
-                     "--out", "-"]) == 0
-        parse_block_vector(capsys.readouterr().out)
-
-    def test_threads_env_fallback(self, instance_file, capsys, monkeypatch):
-        monkeypatch.setenv("BTT_EXPM_THREADS", "2")
-        assert main(["expm", instance_file, "--method", "eps-averaged",
-                     "--epsilon", "1e-2i", "--k", "2", "--out", "-"]) == 0
-        parse_block_vector(capsys.readouterr().out)
-        monkeypatch.setenv("BTT_EXPM_THREADS", "soup")
-        assert main(["expm", instance_file, "--method", "taylor",
-                     "--out", "-"]) == 2

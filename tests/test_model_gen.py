@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -112,12 +114,15 @@ class TestBandedSubgenerator:
             banded_subgenerator(4, 2, bandwidth=5)
 
     def test_banded_decay_consistent_with_bound(self):
-        # large-K embedding as reference; row sums must respect the decay
-        # bound with the band in place of the full length
+        # large-K embedding as reference; row sums of block i must respect
+        # the tail bound at L = i, which sees only the band's two blocks
         spec = banded_subgenerator(8, 2, bandwidth=2, seed=8, alpha_target=0.8)
         a = exp_btt_embedding(spec, 16 * spec.n).y
+        sums = spec.u.data.sum(axis=2)
+        assert not sums[2:].any()
         sigma_grid = (1.05, 1.5, 2.0, 4.0)
         for i in range(spec.n):
             rows = a.data[i].sum(axis=1).max()
-            best = min(ea.decay_bound(spec.alpha, 2, s, i) for s in sigma_grid)
+            best = math.exp(min(ea.row_tail_log_bound(sums[:2], i, math.log(s))
+                                for s in sigma_grid))
             assert rows <= best * (1 + 1e-10) + 1e-13
