@@ -135,9 +135,8 @@ def cmd_expm(args) -> int:
         comments.append(f"K={result.method_used.K}")
     if config.taylor_tol is not None:
         comments.append(f"tol={_fmt(config.taylor_tol)} max_terms={config.max_terms}")
-    if result.predicted_bounds:
-        for name, value in sorted(result.predicted_bounds.items()):
-            comments.append(f"predicted_{name}={_fmt(value)}")
+    for name, value in sorted(result.predicted_bounds.items()):
+        comments.append(f"predicted_{name}={_fmt(value)}")
     _write_text(args.out, format_block_vector(result.y, comments))
     return 0
 

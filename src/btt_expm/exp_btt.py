@@ -13,7 +13,10 @@ Four routes, all returning the first block-row of the exponential:
   only nonnegative terms.
 
 Every route runs one pipeline: validate -> n' -> scale -> pad -> core ->
-squarings -> zero-filled tail.
+squarings -> zero-filled tail.  A route validates its parameters and
+supplies its core; ``_run`` does every other stage, once for all four, and
+is the one place that decides n', the scaling and the padding (the
+embedding's core pads on from pad(n') to its circulant length).
 
 * n': the leading n' blocks of exp(T_n) are exp(T_n') exactly, so each
   route works on the leading n' blocks only.  ``effective_length`` picks n'
@@ -110,14 +113,14 @@ class MethodConfig:
 class ExpResult:
     """Computed first block-row plus provenance: which method, what scaling
     exponent was applied, the effective length n' the method ran at (blocks
-    from n' on are zero), and predicted error bounds, among them
+    from n' on are zero), and the predicted error bounds, always among them
     ``"truncation"``, the bound on the row mass beyond n' (0.0 when n' = n)."""
 
     y: BlockVector
     method_used: MethodConfig
     scaling_p: int
     n_eff: int
-    predicted_bounds: dict[str, float] | None = None
+    predicted_bounds: dict[str, float]
 
 
 def scaling_exponent(spec: SubgeneratorSpec) -> int:
@@ -171,6 +174,39 @@ def _finish(y: np.ndarray, p: int, n_eff: int, n: int) -> BlockVector:
     return BlockVector._wrap(row)
 
 
+def _run(spec: SubgeneratorSpec, config: MethodConfig, core) -> ExpResult:
+    """The pipeline every method runs: n', scale by 2**-p (p = 0 without
+    ``config.use_scaling``), pad, the method's ``core(sspec, padded) ->
+    (row, bounds)`` on the scaled leading n' blocks ``sspec`` and their
+    zero-padded copy ``padded`` (a fresh array, of length pad(n')), then p
+    squarings and the zero tail."""
+    n_eff, truncation = effective_length(spec)
+    p = scaling_exponent(spec) if config.use_scaling else 0
+    sspec = spec.leading(n_eff).scaled(p)
+    row, bounds = core(sspec, _pad(sspec.u.data, _next_pow2(n_eff)))
+    bounds["truncation"] = truncation
+    return ExpResult(y=_finish(row, p, n_eff, spec.n), method_used=config,
+                     scaling_p=p, n_eff=n_eff, predicted_bounds=bounds)
+
+
+def _eps_core(eps_list: list[complex], approx_name: str, bound_eps: complex):
+    """Core of both eps methods: the mean of the real parts of the
+    eps-circulant rows over ``eps_list``, with the approximation bound (under
+    ``approx_name``) and the roundoff bound taken at ``bound_eps``.  phi is
+    taken at the padded length from the scaled row, whose max entry the zero
+    padding does not change."""
+
+    def core(sspec, padded):
+        u = BlockVector._wrap(padded)
+        rows = [exp_eps_circulant(u, eps).data.real for eps in eps_list]
+        phi = ea.phi_bound(u.n, sspec.m, float(np.abs(sspec.u.data).max()), 1.0)
+        bounds = {approx_name: ea.eps_approx_bound(sspec.l_norm, bound_eps),
+                  "roundoff": ea.eps_roundoff_bound(phi, sspec.m, bound_eps)}
+        return sum(rows) / len(rows), bounds
+
+    return core
+
+
 def exp_btt_eps(spec: SubgeneratorSpec, epsilon: complex, use_scaling: bool = True,
                 *, allow_large_eps: bool = False) -> ExpResult:
     """Approximate the exponential row via the eps-circulant exponential.
@@ -186,23 +222,8 @@ def exp_btt_eps(spec: SubgeneratorSpec, epsilon: complex, use_scaling: bool = Tr
     if not allow_large_eps and abs(epsilon) >= 1:
         raise ValueError(f"|epsilon| = {abs(epsilon)!r} must be below 1")
 
-    n_eff, truncation = effective_length(spec)
-    p = scaling_exponent(spec) if use_scaling else 0
-    sspec = spec.leading(n_eff).scaled(p)
-    padded = _pad(sspec.u.data, _next_pow2(n_eff))
-    yc = exp_eps_circulant(BlockVector._wrap(padded), epsilon,
-                           allow_large_eps=allow_large_eps)
-    y = _finish(np.ascontiguousarray(yc.data.real), p, n_eff, spec.n)
-
-    phi = ea.phi_bound(padded.shape[0], spec.m, float(np.abs(padded).max()), 1.0)
-    bounds = {
-        "approx": ea.eps_approx_bound(sspec.l_norm, epsilon),
-        "roundoff": ea.eps_roundoff_bound(phi, spec.m, epsilon),
-        "truncation": truncation,
-    }
     config = MethodConfig("eps_circulant", epsilon=epsilon, use_scaling=use_scaling)
-    return ExpResult(y=y, method_used=config, scaling_p=p, n_eff=n_eff,
-                     predicted_bounds=bounds)
+    return _run(spec, config, _eps_core([epsilon], "approx", epsilon))
 
 
 def exp_btt_eps_averaged(spec: SubgeneratorSpec, theta_mag: float, k: int,
@@ -218,28 +239,11 @@ def exp_btt_eps_averaged(spec: SubgeneratorSpec, theta_mag: float, k: int,
     if not allow_large_eps and not theta_mag < 1:
         raise ValueError(f"theta_mag = {theta_mag!r} must be below 1")
     k = int(k)
-
-    n_eff, truncation = effective_length(spec)
-    p = scaling_exponent(spec) if use_scaling else 0
-    sspec = spec.leading(n_eff).scaled(p)
-    padded = BlockVector._wrap(_pad(sspec.u.data, _next_pow2(n_eff)))
     root_i = cmath.exp(1j * math.pi / (2 * k))  # principal k-th root of i
     eps_list = [root_i * cmath.exp(2j * math.pi * j / k) * theta_mag for j in range(k)]
 
-    rows = [exp_eps_circulant(padded, eps, allow_large_eps=allow_large_eps).data.real
-            for eps in eps_list]
-    mean = np.ascontiguousarray(sum(rows) / k)
-    y = _finish(mean, p, n_eff, spec.n)
-
-    phi = ea.phi_bound(padded.n, spec.m, float(np.abs(padded.data).max()), 1.0)
-    bounds = {
-        "single_point_approx": ea.eps_approx_bound(sspec.l_norm, 1j * theta_mag),
-        "roundoff": ea.eps_roundoff_bound(phi, spec.m, theta_mag),
-        "truncation": truncation,
-    }
     config = MethodConfig("eps_averaged", theta_mag=theta_mag, k=k, use_scaling=use_scaling)
-    return ExpResult(y=y, method_used=config, scaling_p=p, n_eff=n_eff,
-                     predicted_bounds=bounds)
+    return _run(spec, config, _eps_core(eps_list, "single_point_approx", 1j * theta_mag))
 
 
 def exp_btt_embedding(spec: SubgeneratorSpec, K: int,
@@ -256,95 +260,72 @@ def exp_btt_embedding(spec: SubgeneratorSpec, K: int,
     """
     if K < spec.n:
         raise ValueError(f"K = {K} must be at least n = {spec.n}")
-    n_eff, truncation = effective_length(spec)
     K = _next_pow2(K)
-    K2 = K * _next_pow2(n_eff) // _next_pow2(spec.n)
-    p = scaling_exponent(spec) if use_scaling else 0
-    sspec = spec.leading(n_eff).scaled(p)
-    s = exp_circulant(BlockVector._wrap(_pad(sspec.u.data, K2)))
-    lead = _pad(s.data[:n_eff], _next_pow2(n_eff))
-    y = _finish(lead, p, n_eff, spec.n)
 
-    # the K-block embedding adds only zero blocks, so the unpadded row has
-    # the same max entry without another K-block temporary
-    chi = ea.chi_bound(K2, spec.m, float(np.abs(sspec.u.data).max()), 1.0)
-    bounds = {
-        "tail": embedding_tail_bound(sspec, K2),
-        "roundoff": ea.circulant_roundoff_bound(chi, spec.m),
-        "truncation": truncation,
-    }
+    def core(sspec, padded):
+        K2 = K * padded.shape[0] // _next_pow2(spec.n)
+        s = exp_circulant(BlockVector._wrap(_pad(padded, K2)))
+        # the K-block embedding adds only zero blocks, so the unpadded row
+        # has the same max entry without another K-block temporary
+        chi = ea.chi_bound(K2, sspec.m, float(np.abs(sspec.u.data).max()), 1.0)
+        bounds = {"tail": embedding_tail_bound(sspec, K2),
+                  "roundoff": ea.circulant_roundoff_bound(chi, sspec.m)}
+        return _pad(s.data[:sspec.n], padded.shape[0]), bounds
+
     config = MethodConfig("embedding", K=K, use_scaling=use_scaling)
-    return ExpResult(y=y, method_used=config, scaling_p=p, n_eff=n_eff,
-                     predicted_bounds=bounds)
+    return _run(spec, config, core)
 
 
 def exp_btt_taylor(spec: SubgeneratorSpec, tol: float, max_terms: int = 200) -> ExpResult:
     """Exponential row via the shifted Taylor series.
 
-    The leading block is shifted by alpha*I so the whole series is
-    nonnegative.  The scaling exponent is ``scaling_exponent(spec)``: the
-    shifted row has inf-norm at most alpha, because every row of U sums to
-    at most 0.  Terms are added until the latest term is below
-    ``tol`` relative to the running sum, else the method fails after
-    ``max_terms``.
+    The scaled leading block is shifted by alpha*I (alpha of the scaled
+    row) so the whole series is nonnegative.  The scaling exponent is
+    ``scaling_exponent(spec)``: the shifted row has inf-norm at most alpha,
+    because every row of U sums to at most 0.  Terms are added until the
+    latest term is below ``tol`` relative to the running sum, else the
+    method fails after ``max_terms``.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     if max_terms < 2:
         raise ValueError("max_terms must be at least 2")
 
-    n_eff, truncation = effective_length(spec)
-    m = spec.m
-    alpha = spec.alpha
-    shifted = _pad(spec.u.data[:n_eff], _next_pow2(n_eff))
-    shifted[0] += alpha * np.eye(m)
-
-    p = scaling_exponent(spec)
-    v = shifted / 2.0 ** p
-    vb = BlockVector._wrap(v.copy())
-
-    w = v.copy()
-    y = v.copy()
-    y[0] += np.eye(m)
-    converged = False
-    for r in range(2, max_terms + 1):
-        w = btt_times_btt(vb, BlockVector._wrap(w / r)).data
-        y = y + w
-        if _row_norm(w) < tol * _row_norm(y):
-            converged = True
-            break
-    if not converged:
+    def core(sspec, v):
+        eye = np.eye(sspec.m)
+        v[0] += sspec.alpha * eye
+        vb = BlockVector._wrap(v)
+        w = vb.data
+        y = v.copy()
+        y[0] += eye
+        for r in range(2, max_terms + 1):
+            w = btt_times_btt(vb, BlockVector._wrap(w / r)).data
+            y = y + w
+            if _row_norm(w) < tol * _row_norm(y):
+                return y * math.exp(-sspec.alpha), {}
         raise NumericalError(
             f"Taylor series did not meet tol={tol!r} within {max_terms} terms")
 
-    y = y * math.exp(-alpha / 2.0 ** p)
-    result = _finish(np.ascontiguousarray(y), p, n_eff, spec.n)
+    # the Taylor route always scales: its config keeps use_scaling=True
     config = MethodConfig("taylor", taylor_tol=tol, max_terms=max_terms)
-    return ExpResult(y=result, method_used=config, scaling_p=p, n_eff=n_eff,
-                     predicted_bounds={"truncation": truncation})
+    return _run(spec, config, core)
 
 
-def select_epsilon(spec: SubgeneratorSpec, imaginary: bool = True,
-                   mu: float = _MU, tau: float | None = None) -> complex:
+def select_epsilon(spec: SubgeneratorSpec, imaginary: bool = True) -> complex:
     """Magnitude of eps balancing approximation error against roundoff, using
     the substochastic bound 1 for the unknown output norms.  Pass the scaled
     instance (post-scaling norms are what the balance uses).  Returns
     i*|eps| when ``imaginary``.
     """
     m = spec.m
-    if tau is None:
-        tau = 10.0 * m
     if spec.l_norm == 0:
         # block-diagonal case: any eps is exact, pick a tiny default
-        return 1j * mu ** (1.0 / 3.0)
-    n2 = _next_pow2(spec.n)
-    umax = float(np.abs(spec.u.data).max())
-    consts = ea.RoundoffConstants(tau=tau, mu=mu)
-    phi = ea.phi_bound(n2, m, umax, 1.0, consts)
+        return 1j * _MU ** (1.0 / 3.0)
+    phi = ea.phi_bound(_next_pow2(spec.n), m, float(np.abs(spec.u.data).max()), 1.0)
     if imaginary:
-        mag = (m * mu * phi / spec.l_norm ** 2) ** (1.0 / 3.0)
+        mag = (m * _MU * phi / spec.l_norm ** 2) ** (1.0 / 3.0)
     else:
-        mag = (m * mu * phi / spec.l_norm) ** 0.5
+        mag = (m * _MU * phi / spec.l_norm) ** 0.5
     # tiny l_norm can push the balance past 1; anything near 1 already makes
     # the approximation error negligible, so clamp into the valid range
     mag = min(mag, 0.9)

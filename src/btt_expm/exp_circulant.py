@@ -23,22 +23,15 @@ from .fft_transforms import _transform_stack
 __all__ = ["exp_eps_circulant", "exp_circulant"]
 
 
-def exp_eps_circulant(u: BlockVector, epsilon: complex, *,
-                      allow_large_eps: bool = False) -> BlockVector:
+def exp_eps_circulant(u: BlockVector, epsilon: complex) -> BlockVector:
     """First block-row Y of the exponential of the block-eps-circulant matrix
-    with first block-row ``u``.
+    with first block-row ``u``, for any nonzero ``epsilon`` (zero raises
+    ``ValueError``); the methods in ``exp_btt`` check its range.
 
-    ``|epsilon| <= 1`` is required unless ``allow_large_eps`` is set (the
-    escape hatch used by parameter sweeps exploring larger magnitudes).
     The scaling uses the principal n-th root theta of epsilon: block k is
     multiplied by theta**k before the transform and by theta**-k after.
     """
     epsilon = complex(epsilon)
-    if epsilon == 0:
-        raise ValueError("epsilon must be nonzero")
-    if not allow_large_eps and abs(epsilon) > 1:
-        raise ValueError(f"|epsilon| = {abs(epsilon)!r} > 1 (pass allow_large_eps to override)")
-
     n = u.n
     # log(theta) on the principal branch; both power tables are taken from it
     # directly, so theta**k * theta**-k is 1 to machine accuracy

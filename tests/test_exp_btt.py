@@ -623,3 +623,24 @@ class TestEffectiveLength:
         res = exp_btt_embedding(spec, K)
         event("n' < n" if res.n_eff < spec.n else "n' = n")
         assert res.predicted_bounds["tail"] <= target
+
+
+class TestStructuralInvariants:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_invariants_every_method(self, data):
+        # entries >= 0, row sums <= exp(S) 1 with S = sum_j U_j (the whole
+        # semi-infinite row's mass), leading block = expm(U_0), and the
+        # reported config reproduces the row
+        spec = draw_row(data)
+        mass = expm_small(spec.u.data.sum(axis=0)).sum(axis=1)
+        b0 = expm_small(spec.u.data[0])
+        for name in METHOD_NAMES:
+            res = run_method(name, spec)
+            y = res.y.data
+            assert y.min() >= -1e-10, name
+            assert np.all(y.sum(axis=(0, 2)) <= mass + 1e-10), name
+            assert np.abs(y[0] - b0).sum(axis=1).max() <= 1e-10, name
+            again = compute_exponential(spec, res.method_used)
+            np.testing.assert_array_equal(again.y.data, y)

@@ -30,7 +30,9 @@ class TestExpEpsCirculant:
         np.testing.assert_allclose(out.data[0, 0, 0], np.exp(-0.7), rtol=1e-13)
         assert np.abs(out.data[1:]).max() <= 1e-15
 
-    @pytest.mark.parametrize("eps", [1e-2j, 0.3, 0.2 + 0.4j])
+    # |eps| > 1 too: the kernel takes any nonzero eps, and the methods in
+    # exp_btt check the range
+    @pytest.mark.parametrize("eps", [1e-2j, 0.3, 0.2 + 0.4j, 2.0])
     def test_matches_dense_assembly(self, eps):
         spec = random_subgenerator(4, 2, seed=3)
         ref = first_block_row(expm_small(dense_eps_circulant(spec.u.data, eps)), 4, 2)
@@ -50,12 +52,6 @@ class TestExpEpsCirculant:
     def test_zero_epsilon_rejected(self):
         with pytest.raises(ValueError):
             exp_eps_circulant(random_bv(4, 1, 0), 0.0)
-
-    def test_large_epsilon_needs_escape_hatch(self):
-        u = random_bv(4, 1, 1)
-        with pytest.raises(ValueError, match="allow_large_eps"):
-            exp_eps_circulant(u, 2.0)
-        exp_eps_circulant(u, 2.0, allow_large_eps=True)
 
 
 class TestExpCirculant:

@@ -236,7 +236,7 @@ class TestEpsilonScaling:
         np.testing.assert_allclose(seen[0].ravel(), theta ** np.arange(n), rtol=1e-13)
 
     def test_zero_epsilon_rejected(self):
-        # no n-th root scales the blocks, even past the |eps| <= 1 check
+        # no n-th root scales the blocks
         u = BlockVector(np.ones((4, 1, 1)))
         with pytest.raises(ValueError):
-            exp_eps_circulant(u, 0.0, allow_large_eps=True)
+            exp_eps_circulant(u, 0.0)
