@@ -117,6 +117,8 @@ def _build_config(args, spec: SubgeneratorSpec) -> MethodConfig:
         K = args.K if args.K is not None else select_embedding_K(scaled, 1e-12)
         return MethodConfig("embedding", K=K, use_scaling=use_scaling)
     if method == "taylor":
+        if not use_scaling:
+            raise ParseError("--method taylor always scales; it does not take --no-scaling")
         return MethodConfig("taylor", taylor_tol=args.tol, max_terms=args.max_terms)
     raise ParseError(f"unknown method {args.method!r}")
 
@@ -240,7 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None, help="averaging order")
     p.add_argument("--K", type=int, default=None,
                    help="embedding size (default: select_embedding_K at 1e-12)")
-    p.add_argument("--tol", type=float, default=1e-15, help="Taylor stop tolerance")
+    p.add_argument("--tol", type=float, default=1e-15,
+                   help="Taylor: bound on the dropped terms of the scaled, shifted "
+                        "series, which fixes the degree before the first product")
     p.add_argument("--max-terms", type=int, default=200, dest="max_terms")
     p.add_argument("--no-scaling", action="store_true", dest="no_scaling")
 

@@ -6,7 +6,12 @@ tail bound, minimized over log sigma in ``exp_btt``, picks the effective
 length, picks the embedding length K and bounds the embedding's error: the
 K-circulant's row is exp(U(z)) mod (z**K - 1), whose block k is
 sum_{l>=0} Y_{k+lK}, so with every Y nonnegative its error on the leading
-blocks is at most the row's mass beyond block K.
+blocks is at most the row's mass beyond block K.  The Taylor truncation
+bound fixes the Taylor route's degree before its first product.
+
+The roundoff bounds use fixed constants: the unit roundoff ``_MU``, the
+FFT constants ``_ZETA`` and ``_GAMMA`` of the first-order analysis, and
+tau = 10 m for the relative accuracy of the small exponential kernel.
 
 All evaluators are closed-form over-estimates; the tests check computed
 errors against them on synthetic instances.
@@ -14,16 +19,11 @@ errors against them on synthetic instances.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
 
-from .block_linalg import SubgeneratorSpec, _row_norm
-
 __all__ = [
-    "RoundoffConstants",
-    "default_constants",
     "phi_bound",
     "chi_bound",
     "eps_roundoff_bound",
@@ -33,62 +33,37 @@ __all__ = [
     "row_tail_log_bound",
 ]
 
-_SQRT2 = math.sqrt(2.0)
 _MU = float(np.finfo(np.float64).eps)
+_ZETA = 1.0 + 2.0 * math.sqrt(2.0)
+_GAMMA = 4.0 * math.sqrt(2.0) + 1.0
 
 
-@dataclasses.dataclass(frozen=True)
-class RoundoffConstants:
-    """Constants of the first-order FFT roundoff analysis.
-
-    ``tau`` is the relative accuracy constant of the small matrix
-    exponential kernel; it depends on that algorithm and is caller-supplied
-    (default heuristic: 10*m).
-    """
-
-    tau: float
-    mu: float = _MU
-    zeta: float = 1.0 + 2.0 * _SQRT2
-    gamma: float = 4.0 * _SQRT2 + 1.0
-    beta: float = 2.0 * _SQRT2
-
-
-def default_constants(m: int, mu: float = _MU) -> RoundoffConstants:
-    return RoundoffConstants(tau=10.0 * m, mu=mu)
-
-
-def phi_bound(n: int, m: int, umax: float, ymax: float,
-              consts: RoundoffConstants | None = None) -> float:
+def phi_bound(n: int, m: int, umax: float, ymax: float) -> float:
     """Roundoff amplification factor of the eps-circulant exponential: the
     computed block error is bounded by mu * m * phi / |eps|."""
-    if consts is None:
-        consts = default_constants(m)
     q = math.log2(n)
-    return (m * n * (consts.zeta + consts.gamma * q) * umax
-            + (consts.zeta + consts.gamma * math.sqrt(n) * q) * ymax
-            + consts.tau)
+    return (m * n * (_ZETA + _GAMMA * q) * umax
+            + (_ZETA + _GAMMA * math.sqrt(n) * q) * ymax
+            + 10.0 * m)
 
 
-def chi_bound(n: int, m: int, umax: float, ymax: float,
-              consts: RoundoffConstants | None = None) -> float:
+def chi_bound(n: int, m: int, umax: float, ymax: float) -> float:
     """Roundoff factor of the plain circulant exponential: block error is
     bounded by mu * m * chi.  Always at most phi_bound (fewer terms)."""
-    if consts is None:
-        consts = default_constants(m)
     q = math.log2(n)
-    return (m * n * consts.gamma * q * umax
-            + consts.gamma * math.sqrt(n) * q * ymax
-            + consts.tau)
+    return (m * n * _GAMMA * q * umax
+            + _GAMMA * math.sqrt(n) * q * ymax
+            + 10.0 * m)
 
 
-def eps_roundoff_bound(phi: float, m: int, epsilon: complex, mu: float = _MU) -> float:
+def eps_roundoff_bound(phi: float, m: int, epsilon: complex) -> float:
     """Total roundoff bound mu * m * phi / |eps| for the eps-circulant path."""
-    return mu * m * phi / abs(complex(epsilon))
+    return _MU * m * phi / abs(complex(epsilon))
 
 
-def circulant_roundoff_bound(chi: float, m: int, mu: float = _MU) -> float:
+def circulant_roundoff_bound(chi: float, m: int) -> float:
     """Total roundoff bound mu * m * chi for the circulant path."""
-    return mu * m * chi
+    return _MU * m * chi
 
 
 def eps_approx_bound(l_norm: float, epsilon: complex) -> float:
@@ -103,21 +78,18 @@ def eps_approx_bound(l_norm: float, epsilon: complex) -> float:
     return math.expm1(t)
 
 
-def taylor_truncation_bound(spec: SubgeneratorSpec, r: int) -> float:
-    """Norm bound on the tail of the shifted Taylor series truncated after the
-    term of degree r - 1, using the inf-norm of the shifted matrix in place of
-    its spectral radius (a valid over-estimate)."""
+def taylor_truncation_bound(norm: float, r: int) -> float:
+    """Bound on the inf-norm of the tail sum_{k>=r} V**k / k! of the Taylor
+    series of exp(V), for any V with inf-norm at most ``norm``:
+    norm**r / r! / (1 - norm / (r + 1)).  Requires norm < r + 1."""
     if r < 1:
         raise ValueError("r must be at least 1")
-    shifted = spec.u.data.copy()
-    shifted[0] += spec.alpha * np.eye(spec.m)
-    t = _row_norm(shifted)
-    if t / (r + 1) >= 1:
+    if norm / (r + 1) >= 1:
         raise ValueError(
-            f"norm {t!r} of the shifted matrix must be below r + 1 = {r + 1}")
-    if t == 0:
+            f"norm {norm!r} must be below r + 1 = {r + 1}")
+    if norm == 0:
         return 0.0
-    return math.exp(r * math.log(t) - math.lgamma(r + 1)) / (1.0 - t / (r + 1))
+    return math.exp(r * math.log(norm) - math.lgamma(r + 1)) / (1.0 - norm / (r + 1))
 
 
 def row_tail_log_bound(row_sums: np.ndarray, L: int, log_sigma: float) -> float:

@@ -10,7 +10,7 @@ Four routes, all returning the first block-row of the exponential:
 * ``exp_btt_embedding``: embed into a K-circulant and keep the leading blocks;
   the error is at most the row's mass beyond block K.
 * ``exp_btt_taylor``: shifted Taylor series with structured products, summing
-  only nonnegative terms.
+  only nonnegative terms, to a degree fixed in advance by its remainder bound.
 
 Every route runs one pipeline: validate -> n' -> scale -> pad -> core ->
 squarings -> zero-filled tail.  A route validates its parameters and
@@ -45,7 +45,7 @@ import mmap
 import numpy as np
 
 from . import error_analysis as ea
-from .block_linalg import BlockVector, SubgeneratorSpec, _row_norm
+from .block_linalg import BlockVector, SubgeneratorSpec
 from .errors import NumericalError
 from .exp_circulant import exp_circulant, exp_eps_circulant
 from .structured_mul import btt_times_btt
@@ -82,8 +82,8 @@ _REQUIRED_FIELDS = {
 class MethodConfig:
     """Method selector plus exactly the parameters that method needs.
 
-    ``use_scaling`` applies to the first three methods; the Taylor route
-    always scales.
+    ``use_scaling=False`` applies to the first three methods; the Taylor
+    route always scales and rejects it.
     """
 
     method: str
@@ -107,6 +107,8 @@ class MethodConfig:
                 raise ValueError(f"method {self.method!r} does not take {name}")
         if self.k is not None and self.k < 1:
             raise ValueError("k must be a positive integer")
+        if self.method == "taylor" and not self.use_scaling:
+            raise ValueError("method 'taylor' always scales: use_scaling must be True")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -282,9 +284,12 @@ def exp_btt_taylor(spec: SubgeneratorSpec, tol: float, max_terms: int = 200) -> 
     The scaled leading block is shifted by alpha*I (alpha of the scaled
     row) so the whole series is nonnegative.  The scaling exponent is
     ``scaling_exponent(spec)``: the shifted row has inf-norm at most alpha,
-    because every row of U sums to at most 0.  Terms are added until the
-    latest term is below ``tol`` relative to the running sum, else the
-    method fails after ``max_terms``.
+    because every row of U sums to at most 0.  The degree d is fixed before
+    the first product: the least d at which ``taylor_truncation_bound`` puts
+    the dropped terms of degree above d at most ``tol`` (the shifted sum has
+    norm at least 1, so this is relative too), and the method fails before
+    any product when d exceeds ``max_terms``.  The bound, times exp(-alpha),
+    is reported as ``"series"``.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -292,21 +297,25 @@ def exp_btt_taylor(spec: SubgeneratorSpec, tol: float, max_terms: int = 200) -> 
         raise ValueError("max_terms must be at least 2")
 
     def core(sspec, v):
+        alpha = sspec.alpha
+        for d in range(1, max_terms + 1):
+            dropped = ea.taylor_truncation_bound(alpha, d + 1)
+            if dropped <= tol:
+                break
+        else:
+            raise NumericalError(
+                f"Taylor series needs more than {max_terms} terms for tol={tol!r}")
         eye = np.eye(sspec.m)
-        v[0] += sspec.alpha * eye
+        v[0] += alpha * eye
         vb = BlockVector._wrap(v)
         w = vb.data
         y = v.copy()
         y[0] += eye
-        for r in range(2, max_terms + 1):
+        for r in range(2, d + 1):
             w = btt_times_btt(vb, BlockVector._wrap(w / r)).data
             y = y + w
-            if _row_norm(w) < tol * _row_norm(y):
-                return y * math.exp(-sspec.alpha), {}
-        raise NumericalError(
-            f"Taylor series did not meet tol={tol!r} within {max_terms} terms")
+        return y * math.exp(-alpha), {"series": math.exp(-alpha) * dropped}
 
-    # the Taylor route always scales: its config keeps use_scaling=True
     config = MethodConfig("taylor", taylor_tol=tol, max_terms=max_terms)
     return _run(spec, config, core)
 

@@ -15,37 +15,34 @@ from oracles import dense_eps_circulant, row_sums, scalar_btt_expm
 
 class TestConstants:
     def test_values(self):
-        c = ea.default_constants(m=2)
-        assert c.zeta == pytest.approx(1 + 2 * math.sqrt(2), abs=1e-12)
-        assert c.gamma == pytest.approx(4 * math.sqrt(2) + 1, abs=1e-12)
-        assert c.beta == pytest.approx(2 * math.sqrt(2), abs=1e-12)
-        assert c.tau == 20.0
-        assert c.mu == np.finfo(np.float64).eps
+        assert ea._ZETA == pytest.approx(1 + 2 * math.sqrt(2), abs=1e-12)
+        assert ea._GAMMA == pytest.approx(4 * math.sqrt(2) + 1, abs=1e-12)
+        assert ea._MU == np.finfo(np.float64).eps
+        # tau = 10 m is all that is left at n = 1 with zero norms
+        assert ea.phi_bound(1, 2, 0.0, 0.0) == 20.0
+        assert ea.chi_bound(1, 3, 0.0, 0.0) == 30.0
 
 
 class TestPhiChi:
     def test_phi_at_n_equal_one(self):
-        c = ea.default_constants(3)
         # log2(1) = 0 collapses both transform terms
-        expect = 3 * c.zeta * 0.7 + c.zeta * 0.9 + c.tau
-        assert ea.phi_bound(1, 3, 0.7, 0.9, c) == pytest.approx(expect, rel=1e-15)
+        expect = 3 * ea._ZETA * 0.7 + ea._ZETA * 0.9 + 30.0
+        assert ea.phi_bound(1, 3, 0.7, 0.9) == pytest.approx(expect, rel=1e-15)
 
     def test_phi_independent_transcription(self):
         n, m, umax, ymax = 256, 2, 1.0, 1.0
-        c = ea.RoundoffConstants(tau=20.0)
         z = 1 + 2 * math.sqrt(2)
         g = 4 * math.sqrt(2) + 1
         expect = (m * n * (z + g * math.log2(n)) * umax
                   + (z + g * math.sqrt(n) * math.log2(n)) * ymax + 20.0)
-        assert ea.phi_bound(n, m, umax, ymax, c) == pytest.approx(expect, rel=1e-14)
+        assert ea.phi_bound(n, m, umax, ymax) == pytest.approx(expect, rel=1e-14)
         assert expect > 0
 
     def test_chi_independent_transcription(self):
         n, m = 2, 2
-        c = ea.RoundoffConstants(tau=5.0)
         g = 4 * math.sqrt(2) + 1
-        expect = m * n * g * 1.0 * 0.5 + g * math.sqrt(2) * 1.0 * 0.25 + 5.0
-        assert ea.chi_bound(n, m, 0.5, 0.25, c) == pytest.approx(expect, rel=1e-14)
+        expect = m * n * g * 1.0 * 0.5 + g * math.sqrt(2) * 1.0 * 0.25 + 20.0
+        assert ea.chi_bound(n, m, 0.5, 0.25) == pytest.approx(expect, rel=1e-14)
 
     @pytest.mark.parametrize("bound", [ea.phi_bound, ea.chi_bound])
     def test_monotonicity(self, bound):
@@ -54,15 +51,15 @@ class TestPhiChi:
         assert bound(8, 3, 0.5, 0.5) >= base
         assert bound(8, 2, 0.7, 0.5) >= base
         assert bound(8, 2, 0.5, 0.7) >= base
-        assert bound(8, 2, 0.5, 0.5, ea.RoundoffConstants(tau=100.0)) >= base
 
     def test_chi_at_most_phi(self):
         for n in (1, 4, 64):
             assert ea.chi_bound(n, 2, 0.5, 0.8) <= ea.phi_bound(n, 2, 0.5, 0.8)
 
     def test_total_bounds(self):
-        assert ea.eps_roundoff_bound(100.0, 2, 1e-2j, mu=1e-16) == pytest.approx(2e-12)
-        assert ea.circulant_roundoff_bound(100.0, 2, mu=1e-16) == pytest.approx(2e-14)
+        mu = np.finfo(np.float64).eps
+        assert ea.eps_roundoff_bound(100.0, 2, 1e-2j) == pytest.approx(2e4 * mu)
+        assert ea.circulant_roundoff_bound(100.0, 2) == pytest.approx(200 * mu)
 
 
 class TestDecayBound:
@@ -182,25 +179,23 @@ class TestEmbeddingBound:
 
 
 class TestTaylorTruncationBound:
-    def spec_scalar(self, u0, u1):
-        return validate_subgenerator(BlockVector(np.array([[[u0]], [[u1]]])))
-
     def test_zero_shifted_matrix(self):
-        spec = validate_subgenerator(BlockVector(np.array([[[-2.0]]])))
         for r in (1, 3, 10):
-            assert ea.taylor_truncation_bound(spec, r) == 0.0
+            assert ea.taylor_truncation_bound(0.0, r) == 0.0
 
     def test_decreasing_in_r(self):
-        spec = self.spec_scalar(-1.0, 1.0)
-        values = [ea.taylor_truncation_bound(spec, r) for r in range(2, 12)]
+        values = [ea.taylor_truncation_bound(1.0, r) for r in range(2, 12)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_bounds_actual_truncation_error(self):
-        spec = self.spec_scalar(-1.0, 1.0)
+        # U_0 = -1, U_1 = 1: the shifted 2 x 2 matrix has inf-norm 1
+        spec = validate_subgenerator(BlockVector(np.array([[[-1.0]], [[1.0]]])))
         t = assemble_btt_dense(spec.u) + spec.alpha * np.eye(2)
+        norm = np.abs(t).sum(axis=1).max()
+        assert norm == 1.0
         exact = expm_small(t)
         for r in range(3, 11):
-            bound = ea.taylor_truncation_bound(spec, r)
+            bound = ea.taylor_truncation_bound(norm, r)
             s = np.eye(2)
             tk = np.eye(2)
             for k in range(1, r):
@@ -210,14 +205,12 @@ class TestTaylorTruncationBound:
             assert actual <= bound
 
     def test_hypothesis_violation_rejected(self):
-        spec = self.spec_scalar(-3.0, 3.0)
         with pytest.raises(ValueError):
-            ea.taylor_truncation_bound(spec, 1)
+            ea.taylor_truncation_bound(3.0, 1)
 
     def test_r_below_one_rejected(self):
-        spec = self.spec_scalar(-1.0, 1.0)
         with pytest.raises(ValueError):
-            ea.taylor_truncation_bound(spec, 0)
+            ea.taylor_truncation_bound(1.0, 0)
 
 
 class TestRowTailBound:

@@ -277,10 +277,43 @@ class TestTaylorMethod:
         ref = BlockVector(scalar_btt_expm(spec.u.data))
         assert error_report(res.y, ref).nw_rel <= 1e-12
 
-    def test_non_convergence_raises(self):
+    def test_non_convergence_raises(self, monkeypatch):
+        # the degree is fixed before the first product, so none is made
         spec = random_subgenerator(4, 2, seed=20, alpha_target=1.0)
+        monkeypatch.setattr(exp_btt, "btt_times_btt", None)
         with pytest.raises(NumericalError, match="terms"):
             exp_btt_taylor(spec, 1e-15, max_terms=2)
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-10, 1e-15])
+    def test_degree_fixed_by_bound(self, tol, monkeypatch):
+        # the least degree d whose remainder bound is at most tol: d - 1
+        # products for the series and p for the squarings
+        spec = banded_subgenerator(512, 2, 3, seed=1, alpha_target=2.0)
+        p = scaling_exponent(spec)
+        alpha = spec.alpha / 2 ** p
+        d = next(d for d in range(1, 200)
+                 if ea.taylor_truncation_bound(alpha, d + 1) <= tol)
+        assert d == 1 or ea.taylor_truncation_bound(alpha, d) > tol
+        calls = []
+
+        def counting(a, b):
+            calls.append(1)
+            return btt_times_btt(a, b)
+
+        monkeypatch.setattr(exp_btt, "btt_times_btt", counting)
+        res = exp_btt_taylor(spec, tol)
+        assert len(calls) == d - 1 + p
+        assert res.predicted_bounds["series"] == \
+            math.exp(-alpha) * ea.taylor_truncation_bound(alpha, d + 1)
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-8, 1e-12])
+    def test_error_within_series_bound(self, tol):
+        # p = 0 and n' = n: the reported bound covers the whole error
+        spec = random_subgenerator(4, 2, seed=7, alpha_target=0.8)
+        res = exp_btt_taylor(spec, tol)
+        assert res.scaling_p == 0 and res.n_eff == spec.n
+        err = error_report(res.y, expm_dense_oracle(spec)).nw_abs
+        assert err <= res.predicted_bounds["series"] + 1e-14
 
     def test_parameter_validation(self):
         spec = random_subgenerator(4, 2, seed=3)
@@ -385,6 +418,10 @@ class TestMethodConfigAndDispatch:
     def test_extraneous_field(self):
         with pytest.raises(ValueError, match="does not take"):
             MethodConfig("taylor", taylor_tol=1e-12, max_terms=50, K=8)
+
+    def test_taylor_rejects_no_scaling(self):
+        with pytest.raises(ValueError, match="always scales"):
+            MethodConfig("taylor", taylor_tol=1e-15, max_terms=200, use_scaling=False)
 
     def test_dispatch_matches_direct_calls(self):
         spec = random_subgenerator(4, 2, seed=12, alpha_target=0.5)
@@ -579,7 +616,8 @@ class TestEffectiveLength:
         res = exp_btt_taylor(spec, 1e-15)
         n_eff, bound = effective_length(spec)
         assert res.n_eff == n_eff < 512
-        assert res.predicted_bounds == {"truncation": bound}
+        assert res.predicted_bounds.keys() == {"truncation", "series"}
+        assert res.predicted_bounds["truncation"] == bound
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.too_slow])

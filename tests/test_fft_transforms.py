@@ -234,9 +234,3 @@ class TestEpsilonScaling:
         monkeypatch.setattr(exp_circulant_module, "_transform_stack", spy)
         exp_eps_circulant(BlockVector(np.ones((n, 1, 1))), eps)
         np.testing.assert_allclose(seen[0].ravel(), theta ** np.arange(n), rtol=1e-13)
-
-    def test_zero_epsilon_rejected(self):
-        # no n-th root scales the blocks
-        u = BlockVector(np.ones((4, 1, 1)))
-        with pytest.raises(ValueError):
-            exp_eps_circulant(u, 0.0)

@@ -206,6 +206,13 @@ class TestCli:
         assert main(["expm", path, "--method", "taylor",
                      "--tol", "1e-15", "--max-terms", "2"]) == 4
 
+    def test_taylor_no_scaling_exits_2(self, tmp_path, capsys):
+        spec = random_subgenerator(4, 2, seed=2, alpha_target=1.0)
+        path = str(tmp_path / "inst.btt")
+        write_block_vector(path, spec.u)
+        assert main(["expm", path, "--method", "taylor", "--no-scaling"]) == 2
+        assert "--no-scaling" in capsys.readouterr().err
+
     def test_bad_flags_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["expm", "x.btt", "--method", "splines"])
