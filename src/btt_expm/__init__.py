@@ -12,9 +12,8 @@ Submodules: ``block_linalg``, ``fft_transforms``, ``structured_mul``,
 """
 
 from .block_linalg import (BlockVector, ErrorReport, SubgeneratorSpec,
-                           block_row_inf_norm, error_report,
-                           validate_subgenerator)
-from .dense_expm import expm_dense_oracle, expm_small
+                           error_report, validate_subgenerator)
+from .dense_expm import expm_dense_oracle
 from .errors import NumericalError, ParseError, ValidationError
 from .exp_btt import (ExpResult, MethodConfig, compute_exponential,
                       exp_btt_embedding, exp_btt_eps, exp_btt_eps_averaged,
@@ -32,9 +31,7 @@ __all__ = [
     "MethodConfig",
     "ExpResult",
     "validate_subgenerator",
-    "block_row_inf_norm",
     "error_report",
-    "expm_small",
     "expm_dense_oracle",
     "exp_btt_eps",
     "exp_btt_eps_averaged",

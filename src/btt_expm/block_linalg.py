@@ -18,7 +18,6 @@ __all__ = [
     "SubgeneratorSpec",
     "ErrorReport",
     "validate_subgenerator",
-    "block_row_inf_norm",
     "error_report",
 ]
 
@@ -154,11 +153,6 @@ def _l_norm(arr: np.ndarray) -> float:
     if arr.shape[0] == 1:
         return 0.0
     return float(np.cumsum(np.abs(arr[:0:-1]).sum(axis=2), axis=0).max())
-
-
-def block_row_inf_norm(v: BlockVector) -> float:
-    """Inf-norm of the m x (n*m) concatenation of the blocks."""
-    return _row_norm(v.data)
 
 
 def validate_subgenerator(u: BlockVector, tol: float | None = None) -> SubgeneratorSpec:

@@ -2,7 +2,9 @@
 
 Two uses: the small-block exponentials inside the FFT-diagonalized methods,
 and the brute-force oracle that assembles the full structured matrix and
-exponentiates it for validation at moderate sizes.
+exponentiates it for validation at moderate sizes.  The stacked m x m
+product ``_stack_matmul`` serves the small-block kernel and the frequency
+products of ``structured_mul`` alike.
 
 The small-block kernel is scaling-and-squaring with a Taylor polynomial of
 fixed degree (Higham, SIMAX 26(4), 2005; Al-Mohy & Higham, SIMAX 31(3),
@@ -29,7 +31,6 @@ from .block_linalg import BlockVector, SubgeneratorSpec
 from .errors import NumericalError
 
 __all__ = [
-    "expm_small",
     "expm_dense_oracle",
     "assemble_btt_dense",
 ]
@@ -74,6 +75,8 @@ def _scaling_steps(norm: float) -> int:
 
 
 def _stack_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x[k] @ y[k] for every k of two (N, m, m) stacks, real or complex: m
+    broadcast multiply-adds for m <= 4, stacked matmul above."""
     m = x.shape[-1]
     if m > _BROADCAST_MAX_M:
         return x @ y
@@ -117,18 +120,6 @@ def _expm_stack(a: np.ndarray) -> np.ndarray:
     for lo in range(0, nstack, chunk):
         out[lo:lo + chunk] = _expm_chunk(a[lo:lo + chunk])
     return out
-
-
-def expm_small(a) -> np.ndarray:
-    """exp(a) for one dense square matrix via scaling-and-squaring Taylor."""
-    arr = np.asarray(a)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    dtype = np.complex128 if arr.dtype.kind == "c" else np.float64
-    arr = arr.astype(dtype)
-    if not np.isfinite(arr).all():
-        raise ValueError("matrix contains NaN or Inf entries")
-    return _expm_stack(arr[None])[0]
 
 
 def assemble_btt_dense(u: BlockVector) -> np.ndarray:

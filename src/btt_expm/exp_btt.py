@@ -45,6 +45,7 @@ import mmap
 import numpy as np
 
 from . import error_analysis as ea
+from . import structured_mul
 from .block_linalg import BlockVector, SubgeneratorSpec
 from .errors import NumericalError
 from .exp_circulant import exp_circulant, exp_eps_circulant
@@ -289,7 +290,8 @@ def exp_btt_taylor(spec: SubgeneratorSpec, tol: float, max_terms: int = 200) -> 
     the dropped terms of degree above d at most ``tol`` (the shifted sum has
     norm at least 1, so this is relative too), and the method fails before
     any product when d exceeds ``max_terms``.  The bound, times exp(-alpha),
-    is reported as ``"series"``.
+    is reported as ``"series"``.  The shifted row is transformed once, so
+    each of the d - 1 products takes one forward and one inverse transform.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -308,12 +310,14 @@ def exp_btt_taylor(spec: SubgeneratorSpec, tol: float, max_terms: int = 200) -> 
         eye = np.eye(sspec.m)
         v[0] += alpha * eye
         vb = BlockVector._wrap(v)
+        # the fixed operand is transformed once, as btt_times_btt would
+        v_hat = structured_mul._transform_stack(v, 2 * vb.n, real=True)
         w = vb.data
         y = v.copy()
         y[0] += eye
         for r in range(2, d + 1):
-            w = btt_times_btt(vb, BlockVector._wrap(w / r)).data
-            y = y + w
+            w = btt_times_btt(vb, BlockVector._wrap(w / r), u_hat=v_hat).data
+            y += w
         return y * math.exp(-alpha), {"series": math.exp(-alpha) * dropped}
 
     config = MethodConfig("taylor", taylor_tol=tol, max_terms=max_terms)

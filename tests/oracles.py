@@ -2,10 +2,15 @@
 
 Everything here is written the slow, obvious way (index loops, direct
 summation) so the fast paths in the package are checked against code that
-shares none of their machinery.
+shares none of their machinery.  The one exception is ``expm_small``, the
+package's small-exponential kernel on one matrix, which the tests use as
+the exponential of a leading block or of a small dense assembly; the kernel
+itself is checked against ``long_taylor_expm``.
 """
 
 import numpy as np
+
+from btt_expm.dense_expm import _expm_stack
 
 
 def direct_idft(x):
@@ -144,3 +149,21 @@ def row_sums(spec):
     sums = spec.u.data.sum(axis=2)
     far = np.flatnonzero(sums[1:].any(axis=1))
     return sums[:far[-1] + 2]
+
+
+def expm_small(a):
+    """exp(a) for one square matrix, by the package's small-exponential
+    kernel on a stack of one."""
+    arr = np.asarray(a)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+    arr = arr.astype(np.complex128 if arr.dtype.kind == "c" else np.float64)
+    if not np.isfinite(arr).all():
+        raise ValueError("matrix contains NaN or Inf entries")
+    return _expm_stack(arr[None])[0]
+
+
+def block_row_inf_norm(v):
+    """Inf-norm of the m x (n*m) concatenation of the blocks of a
+    BlockVector."""
+    return float(np.abs(np.hstack(list(v.data))).sum(axis=1).max())

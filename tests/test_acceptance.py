@@ -15,8 +15,7 @@ import pytest
 
 from btt_expm.block_linalg import (BlockVector, error_report,
                                    validate_subgenerator)
-from btt_expm.dense_expm import (assemble_btt_dense, expm_dense_oracle,
-                                 expm_small)
+from btt_expm.dense_expm import assemble_btt_dense, expm_dense_oracle
 from btt_expm.exp_btt import (embedding_tail_bound, exp_btt_embedding,
                               exp_btt_eps, exp_btt_eps_averaged, exp_btt_taylor,
                               scaling_exponent, select_epsilon)
@@ -25,7 +24,7 @@ from btt_expm.model_gen import banded_subgenerator, random_subgenerator
 from btt_expm.structured_mul import btt_times_btt
 from btt_expm import error_analysis as ea
 
-from oracles import dense_btt, dense_eps_circulant, first_block_row
+from oracles import dense_btt, dense_eps_circulant, expm_small, first_block_row
 
 def _report(label, worst, threshold, note=""):
     status = "PASS" if worst <= threshold else "FAIL"
@@ -213,20 +212,13 @@ def test_scaling_benchmarks():
         import contextlib
         threadpool_limits = lambda limits: contextlib.nullcontext()
 
-    def best_time(fn, repeats=2):
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - start)
-        return best
-
     def median_times(calls, min_total=0.1):
         # Each call's median over repeats filling min_total seconds: the
         # structured calls take milliseconds, and a best-of-3 ratio of such
         # times is mostly noise.  The calls take turns, round after round,
         # because the machine's speed drifts in phases of a few tenths of a
-        # second; taking turns lets every size see the same phases.
+        # second; taking turns lets every size see the same phases.  The
+        # dense calls are sampled the same way, for the same reason.
         samples = [[] for _ in calls]
         while any(len(s) < 3 or sum(s) < min_total for s in samples):
             for fn, s in zip(calls, samples):
@@ -244,18 +236,15 @@ def test_scaling_benchmarks():
         calls["epc"].append(lambda spec=spec, eps=eps: exp_btt_eps(spec, eps))
         calls["emb"].append(lambda spec=spec: exp_btt_embedding(spec, 4 * spec.n))
         calls["taylor"].append(lambda spec=spec: exp_btt_taylor(spec, 1e-15))
-    dense_times = []
+    dense_calls = [lambda spec=spec: expm_dense_oracle(spec, cap=dense_cap)
+                   for n, spec in zip(n_list, specs) if n * 2 <= dense_cap]
     with threadpool_limits(limits=1):
         warm = random_subgenerator(128, 2, seed=1, alpha_target=2.0)
         exp_btt_eps(warm, 1e-2j)
         exp_btt_embedding(warm, 512)
         exp_btt_taylor(warm, 1e-15)
         expm_dense_oracle(warm, cap=dense_cap)
-        for n, spec in zip(n_list, specs):
-            if n * 2 <= dense_cap:
-                dense_times.append(best_time(
-                    lambda: expm_dense_oracle(spec, cap=dense_cap),
-                    3 if n <= 512 else 2))
+        dense_times = median_times(dense_calls)
         medians = iter(median_times([fn for name in calls for fn in calls[name]]))
         times = {name: [next(medians) for _ in n_list] for name in calls}
 

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from btt_expm.block_linalg import (BlockVector, block_row_inf_norm,
-                                   error_report, validate_subgenerator)
+from btt_expm.block_linalg import BlockVector, error_report, validate_subgenerator
 from btt_expm.errors import ValidationError
 from btt_expm.model_gen import random_subgenerator
 
-from oracles import brute_error_metrics
+from oracles import block_row_inf_norm, brute_error_metrics
 
 
 def bv(*blocks):

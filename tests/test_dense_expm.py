@@ -5,10 +5,11 @@ import pytest
 
 from btt_expm.block_linalg import BlockVector, validate_subgenerator
 from btt_expm.dense_expm import (_CHUNK_ENTRIES, _DEGREE, _MU, _expm_stack,
-                                 assemble_btt_dense, expm_dense_oracle, expm_small)
+                                 _stack_matmul, assemble_btt_dense,
+                                 expm_dense_oracle)
 from btt_expm.model_gen import random_subgenerator
 
-from oracles import dense_btt, long_taylor_expm
+from oracles import dense_btt, expm_small, long_taylor_expm
 
 
 class TestExpmSmall:
@@ -66,6 +67,19 @@ class TestExpmSmall:
         for k in range(5):
             np.testing.assert_allclose(out[k], expm_small(stack[k]),
                                        rtol=1e-14, atol=1e-16)
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8])
+    def test_stack_matmul_matches_matmul(self, m, complex_):
+        # broadcast multiply-adds up to m = 4, stacked matmul above
+        rng = np.random.default_rng(m)
+        x, y = (rng.standard_normal((33, m, m)) for _ in range(2))
+        if complex_:
+            x = x + 1j * rng.standard_normal((33, m, m))
+            y = y + 1j * rng.standard_normal((33, m, m))
+        out = _stack_matmul(x, y)
+        assert out.dtype == x.dtype
+        np.testing.assert_allclose(out, x @ y, rtol=0, atol=1e-14 * m)
 
     @pytest.mark.parametrize("complex_", [False, True])
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8])

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from btt_expm.block_linalg import BlockVector, validate_subgenerator
-from btt_expm.dense_expm import assemble_btt_dense, expm_dense_oracle, expm_small
+from btt_expm.dense_expm import assemble_btt_dense, expm_dense_oracle
 from btt_expm.exp_btt import embedding_tail_bound, exp_btt_embedding
 from btt_expm.model_gen import banded_subgenerator, random_subgenerator
 from btt_expm import error_analysis as ea
 
-from oracles import dense_eps_circulant, row_sums, scalar_btt_expm
+from oracles import dense_eps_circulant, expm_small, row_sums, scalar_btt_expm
 
 
 class TestConstants:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from btt_expm.block_linalg import (BlockVector, SubgeneratorSpec, error_report,
                                    validate_subgenerator)
-from btt_expm.dense_expm import expm_dense_oracle, expm_small
+from btt_expm.dense_expm import expm_dense_oracle
 from btt_expm.errors import NumericalError
 from btt_expm.exp_btt import (MethodConfig, compute_exponential,
                               exp_btt_embedding, exp_btt_eps,
@@ -17,12 +17,13 @@ from btt_expm.exp_btt import (MethodConfig, compute_exponential,
                               scaling_exponent, select_embedding_K,
                               select_epsilon)
 from btt_expm.exp_circulant import exp_circulant
+from btt_expm.fft_transforms import _transform_stack
 from btt_expm.model_gen import banded_subgenerator, random_subgenerator
 from btt_expm.structured_mul import btt_times_btt
 from btt_expm import error_analysis as ea
-from btt_expm import exp_btt
+from btt_expm import exp_btt, structured_mul
 
-from oracles import row_sums, scalar_btt_expm
+from oracles import expm_small, row_sums, scalar_btt_expm
 
 MU = float(np.finfo(np.float64).eps)
 
@@ -287,7 +288,9 @@ class TestTaylorMethod:
     @pytest.mark.parametrize("tol", [1e-4, 1e-10, 1e-15])
     def test_degree_fixed_by_bound(self, tol, monkeypatch):
         # the least degree d whose remainder bound is at most tol: d - 1
-        # products for the series and p for the squarings
+        # products for the series and p for the squarings; the fixed operand
+        # is transformed once, each series product then takes two transforms
+        # and each squaring two
         spec = banded_subgenerator(512, 2, 3, seed=1, alpha_target=2.0)
         p = scaling_exponent(spec)
         alpha = spec.alpha / 2 ** p
@@ -295,14 +298,21 @@ class TestTaylorMethod:
                  if ea.taylor_truncation_bound(alpha, d + 1) <= tol)
         assert d == 1 or ea.taylor_truncation_bound(alpha, d) > tol
         calls = []
+        transforms = []
 
-        def counting(a, b):
+        def counting(a, b, **kwargs):
             calls.append(1)
-            return btt_times_btt(a, b)
+            return btt_times_btt(a, b, **kwargs)
+
+        def counting_transform(*args, **kwargs):
+            transforms.append(1)
+            return _transform_stack(*args, **kwargs)
 
         monkeypatch.setattr(exp_btt, "btt_times_btt", counting)
+        monkeypatch.setattr(structured_mul, "_transform_stack", counting_transform)
         res = exp_btt_taylor(spec, tol)
         assert len(calls) == d - 1 + p
+        assert len(transforms) == 2 * (d - 1) + 1 + 2 * p
         assert res.predicted_bounds["series"] == \
             math.exp(-alpha) * ea.taylor_truncation_bound(alpha, d + 1)
 

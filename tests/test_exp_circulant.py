@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from btt_expm.block_linalg import BlockVector
-from btt_expm.dense_expm import expm_small
 from btt_expm.exp_circulant import exp_circulant, exp_eps_circulant
 from btt_expm.model_gen import random_subgenerator
 from btt_expm import error_analysis as ea
 
-from oracles import dense_circulant, dense_eps_circulant, first_block_row
+from oracles import (dense_circulant, dense_eps_circulant, expm_small,
+                     first_block_row)
 
 
 def random_bv(n, m, seed):

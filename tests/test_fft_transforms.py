@@ -5,12 +5,11 @@ import pytest
 
 from btt_expm import exp_circulant as exp_circulant_module
 from btt_expm.block_linalg import BlockVector
-from btt_expm.dense_expm import expm_small
 from btt_expm.exp_circulant import exp_circulant, exp_eps_circulant
 from btt_expm.fft_transforms import _transform_stack
 
 from oracles import (dense_eps_circulant, direct_dft, direct_idft,
-                     first_block_row, kron_transform_matrix)
+                     expm_small, first_block_row, kron_transform_matrix)
 
 # numpy's conventions: fft(x) = n * direct_dft(x), ifft(x) = direct_idft(x) / n
 

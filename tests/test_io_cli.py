@@ -133,7 +133,7 @@ class TestCli:
         assert np.abs(v.data[2:]).max() == 0.0
 
     def test_expm_single_block_any_method(self, tmp_path, capsys):
-        from btt_expm.dense_expm import expm_small
+        from oracles import expm_small
         spec = random_subgenerator(1, 2, slack=0.4, seed=3)
         path = str(tmp_path / "one.btt")
         write_block_vector(path, spec.u)

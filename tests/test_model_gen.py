@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from btt_expm.block_linalg import validate_subgenerator
-from btt_expm.dense_expm import expm_dense_oracle, expm_small
+from btt_expm.dense_expm import expm_dense_oracle
 from btt_expm.exp_btt import exp_btt_embedding
 from btt_expm.model_gen import SplitMix64, banded_subgenerator, random_subgenerator
 from btt_expm import error_analysis as ea
+
+from oracles import expm_small
 
 
 class TestSplitMix64:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from btt_expm.block_linalg import BlockVector
+from btt_expm.fft_transforms import _transform_stack
 from btt_expm.structured_mul import btt_times_btt
 
 from oracles import dense_btt, first_block_row
@@ -57,6 +58,35 @@ class TestDenseOracle:
         out = btt_times_btt(u, x).data
         ref = first_block_row(dense_btt(u.data) @ dense_btt(x.data), n, m)
         assert np.abs(out - ref).max() <= 1e-12 * scale
+
+
+class TestSquare:
+    # a square transforms its operand once; the result is still the product
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("m", [1, 2, 3, 8])
+    def test_square_matches_dense_assembly(self, m, complex_):
+        rng = np.random.default_rng(20 + m)
+        arr = rng.standard_normal((12, m, m))
+        if complex_:
+            arr = arr + 1j * rng.standard_normal((12, m, m))
+        y = BlockVector(arr)
+        out = btt_times_btt(y, y)
+        assert out.is_real == (not complex_)
+        ref = first_block_row(dense_btt(arr) @ dense_btt(arr), 12, m)
+        scale = max(np.abs(arr).max() ** 2 * 12 * m, 1.0)
+        assert np.abs(out.data - ref).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_given_transform_gives_same_bits(self, complex_):
+        rng = np.random.default_rng(30)
+        u, x = (rng.standard_normal((8, 2, 2)) for _ in range(2))
+        if complex_:
+            u = u + 1j * rng.standard_normal((8, 2, 2))
+            x = x + 1j * rng.standard_normal((8, 2, 2))
+        u, x = BlockVector(u), BlockVector(x)
+        u_hat = _transform_stack(u.data, 16, real=not complex_)
+        np.testing.assert_array_equal(btt_times_btt(u, x, u_hat=u_hat).data,
+                                      btt_times_btt(u, x).data)
 
 
 class TestAlgebra:
