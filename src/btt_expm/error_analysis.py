@@ -2,12 +2,14 @@
 validation: FFT roundoff bounds for the two circulant exponentials, the
 eps-circulant approximation bound, the Taylor truncation bound, and the one
 tail bound, on the mass of the exponential row beyond a given block.  The
-tail bound, minimized over log sigma in ``exp_btt``, picks the effective
-length, picks the embedding length K and bounds the embedding's error: the
-K-circulant's row is exp(U(z)) mod (z**K - 1), whose block k is
-sum_{l>=0} Y_{k+lK}, so with every Y nonnegative its error on the leading
-blocks is at most the row's mass beyond block K.  The Taylor truncation
-bound fixes the Taylor route's degree before its first product.
+tail bound is c G(t) - L t on the row scaled by c, so ``exp_btt`` evaluates
+G once on a grid of t = log sigma and takes every use as a minimum over that
+grid: it picks the effective length and the length of each scaling level,
+bounds the mass those lengths drop, picks the embedding length K and bounds
+the embedding's error: the K-circulant's row is exp(U(z)) mod (z**K - 1),
+whose block k is sum_{l>=0} Y_{k+lK}, so with every Y nonnegative its error
+on the leading blocks is at most the row's mass beyond block K.  The Taylor
+truncation bound fixes the Taylor route's degree before its first product.
 
 The roundoff bounds use fixed constants: the unit roundoff ``_MU``, the
 FFT constants ``_ZETA`` and ``_GAMMA`` of the first-order analysis, and
@@ -92,21 +94,34 @@ def taylor_truncation_bound(norm: float, r: int) -> float:
     return math.exp(r * math.log(norm) - math.lgamma(r + 1)) / (1.0 - norm / (r + 1))
 
 
-def row_tail_log_bound(row_sums: np.ndarray, L: int, log_sigma: float) -> float:
+def row_tail_log_bound(row_sums: np.ndarray, L: int, log_sigma):
     """Natural log of a bound on the mass max_i (sum_{k>=L} Y_k 1)_i of the
-    exponential row beyond block L, at sigma = exp(log_sigma) > 1.
+    exponential row beyond block L, at sigma = exp(log_sigma) > 1: a float
+    for one log sigma, an array for an array of them.
 
     ``row_sums[j]`` is U_j 1 for j = 0..b, where b is the last nonzero block.
     Extended by zero blocks, the row has sum_k Y_k sigma**k = exp(U(sigma))
     with U(sigma) = sum_j U_j sigma**j Metzler, so exp(U(sigma)) 1 is at most
     e**(max row sum of U(sigma)) 1, and every Y_k is nonnegative:
     log mass <= -L log_sigma + max_i sum_j (U_j 1)_i sigma**j.  Valid for
-    log_sigma in (0, 700 / b], where sigma**b cannot overflow; O(b m).
+    log_sigma in (0, 700 / b], where sigma**b cannot overflow.  sigma**j is
+    taken as sigma**(Q r) sigma**q for j = Q r + q, Q ~ sqrt(b + 1), so a
+    point costs about 2 sqrt(b) exponentials and O(b m) multiply-adds.
     """
-    t = float(log_sigma)
-    b = row_sums.shape[0] - 1
-    if not 0 < t <= 700.0 / max(b, 1):
-        raise ValueError(f"log_sigma must lie in (0, 700/b], got {t} with b = {b}")
+    t = np.asarray(log_sigma, dtype=float)
+    b1, m = row_sums.shape
+    if not (np.all(t > 0) and np.all(t <= 700.0 / max(b1 - 1, 1))):
+        raise ValueError(f"log_sigma must lie in (0, 700/b], got {t} with b = {b1 - 1}")
+    Q = math.isqrt(b1 - 1) + 1
+    R = -(-b1 // Q)
+    coef = np.zeros((R * Q, m))
+    coef[:b1] = row_sums
+    ts = t.reshape(-1, 1)
+    # every factor is at most e**700, and U_0 1, the one negative term, is
+    # multiplied by e**0, so an overflow gives inf and never nan
     with np.errstate(over="ignore"):
-        growth = float((np.exp(t * np.arange(b + 1)) @ row_sums).max())
-    return growth - L * t
+        giant = np.exp(ts * (Q * np.arange(R))) @ coef.reshape(R, Q * m)
+        baby = np.exp(ts * np.arange(Q))[:, None, :]
+        growth = (baby @ giant.reshape(-1, Q, m))[:, 0, :].max(axis=1)
+    out = growth - L * ts[:, 0]
+    return float(out[0]) if t.ndim == 0 else out

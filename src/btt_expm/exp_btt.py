@@ -12,25 +12,26 @@ Four routes, all returning the first block-row of the exponential:
 * ``exp_btt_taylor``: shifted Taylor series with structured products, summing
   only nonnegative terms, to a degree fixed in advance by its remainder bound.
 
-Every route runs one pipeline: validate -> n' -> scale -> pad -> core ->
-squarings -> zero-filled tail.  A route validates its parameters and
-supplies its core; ``_run`` does every other stage, once for all four, and
-is the one place that decides n', the scaling and the padding (the
-embedding's core pads on from pad(n') to its circulant length).
+Every route runs one pipeline: validate -> scale -> length schedule -> pad
+-> core -> squarings -> zero-filled tail.  A route validates its parameters
+and supplies its core; ``_run`` does every other stage, once for all four,
+and is the one place that decides n', the scaling, the lengths and the
+padding (the embedding's core pads on from L_0 to its circulant length).
 
-* n': the leading n' blocks of exp(T_n) are exp(T_n') exactly, so each
-  route works on the leading n' blocks only.  ``effective_length`` picks n'
-  as the smallest power of two at which an a-priori bound puts the row's
-  mass beyond n' below roundoff relative to the row, and n' = n whenever
-  the bound cannot certify less.  The same bound, on the row's mass beyond
-  block L (``error_analysis.row_tail_log_bound`` minimized over log sigma),
-  also picks the embedding length (``select_embedding_K``) and bounds the
-  embedding's error (``embedding_tail_bound``).
 * scale: the input is divided by 2**p so the decay rate is at most 1.
-* pad: lengths that are not powers of two are zero-padded (the padded
+* length schedule: the leading n' blocks of exp(T_n) are exp(T_n') exactly,
+  so each route works on the leading n' blocks only, and the row of
+  exp(T / 2**(p - j)) at scaling level j needs fewer still.  One grid of
+  the a-priori tail bound (``error_analysis.row_tail_log_bound``) fixes n'
+  and the power-of-two lengths L_0 <= ... <= L_p = pad(n') (``_schedule``);
+  the same bound picks the embedding length (``select_embedding_K``) and
+  bounds the embedding's error (``embedding_tail_bound``).
+* pad: the leading L_0 blocks are zero-padded to L_0 (the padded
   exponential contains the original one as its leading principal part).
-* core: the route's own computation on the scaled, padded row.
-* squarings: the structured result is squared p times.
+* core: the route's own computation on the scaled, padded row, at L_0.
+* squarings: squaring j zero-pads the row to L_j blocks and squares it at
+  transform length 2 L_j.  ``"truncation"`` bounds the mass that n' and the
+  shorter levels drop.
 * tail: the leading n' blocks are returned in a row of n blocks whose
   remaining blocks are zero and, for large rows, never written.
 """
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import itertools
 import math
 import mmap
 
@@ -117,7 +119,9 @@ class ExpResult:
     """Computed first block-row plus provenance: which method, what scaling
     exponent was applied, the effective length n' the method ran at (blocks
     from n' on are zero), and the predicted error bounds, always among them
-    ``"truncation"``, the bound on the row mass beyond n' (0.0 when n' = n)."""
+    ``"truncation"``, the bound on the row mass beyond n' plus the mass the
+    scaling levels run below pad(n') blocks drop from the leading n' blocks
+    (0.0 when n' = n and every level runs at pad(n))."""
 
     y: BlockVector
     method_used: MethodConfig
@@ -134,11 +138,16 @@ def scaling_exponent(spec: SubgeneratorSpec) -> int:
     return int(math.floor(math.log2(spec.alpha))) + 1
 
 
-def repeated_squaring(y: BlockVector, p: int) -> BlockVector:
-    """Square the triangular block-Toeplitz matrix p times (first-row form)."""
+def repeated_squaring(y: BlockVector, p: int,
+                      lengths: list[int] | None = None) -> BlockVector:
+    """Square the triangular block-Toeplitz matrix p times (first-row form).
+    With ``lengths``, squaring j first zero-pads the row to ``lengths[j]``
+    blocks, none below its length, and keeps that many of the square."""
     if p < 0:
         raise ValueError("p must be nonnegative")
-    for _ in range(p):
+    for j in range(p):
+        if lengths is not None and lengths[j] != y.n:
+            y = BlockVector._wrap(_pad(y.data, lengths[j]))
         y = btt_times_btt(y, y)
     return y
 
@@ -165,11 +174,11 @@ def _zero_row(n: int, m: int) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, nbytes), dtype=np.float64).reshape(n, m, m)
 
 
-def _finish(y: np.ndarray, p: int, n_eff: int, n: int) -> BlockVector:
-    # square at the padded power-of-two length, then keep the leading n_eff
-    # blocks, which never involve the padding blocks of a triangular product;
-    # blocks n_eff .. n - 1 of the returned row are zero
-    out = repeated_squaring(BlockVector._wrap(y), p)
+def _finish(y: np.ndarray, lengths: list[int], n_eff: int, n: int) -> BlockVector:
+    # square at the schedule's lengths, ending at pad(n_eff), then keep the
+    # leading n_eff blocks, which never involve the padding blocks of a
+    # triangular product; blocks n_eff .. n - 1 of the returned row are zero
+    out = repeated_squaring(BlockVector._wrap(y), len(lengths), lengths)
     if out.n == n:
         return out
     row = _zero_row(n, out.m)
@@ -178,17 +187,18 @@ def _finish(y: np.ndarray, p: int, n_eff: int, n: int) -> BlockVector:
 
 
 def _run(spec: SubgeneratorSpec, config: MethodConfig, core) -> ExpResult:
-    """The pipeline every method runs: n', scale by 2**-p (p = 0 without
-    ``config.use_scaling``), pad, the method's ``core(sspec, padded) ->
-    (row, bounds)`` on the scaled leading n' blocks ``sspec`` and their
-    zero-padded copy ``padded`` (a fresh array, of length pad(n')), then p
-    squarings and the zero tail."""
-    n_eff, truncation = effective_length(spec)
+    """The pipeline every method runs: scale by 2**-p (p = 0 without
+    ``config.use_scaling``), the schedule (n', L_0..L_p), pad, the method's
+    ``core(sspec, padded) -> (row, bounds)``, p squarings at L_1..L_p and
+    the zero tail.  The core takes its bounds on ``sspec``, the scaled
+    leading n' blocks, and computes on ``padded``, a fresh array of their
+    first L_0 blocks (all n' when L_0 = pad(n')) zero-padded to L_0."""
     p = scaling_exponent(spec) if config.use_scaling else 0
+    n_eff, lengths, truncation = _schedule(spec, p)
     sspec = spec.leading(n_eff).scaled(p)
-    row, bounds = core(sspec, _pad(sspec.u.data, _next_pow2(n_eff)))
+    row, bounds = core(sspec, _pad(sspec.u.data[:lengths[0]], lengths[0]))
     bounds["truncation"] = truncation
-    return ExpResult(y=_finish(row, p, n_eff, spec.n), method_used=config,
+    return ExpResult(y=_finish(row, lengths[1:], n_eff, spec.n), method_used=config,
                      scaling_p=p, n_eff=n_eff, predicted_bounds=bounds)
 
 
@@ -196,13 +206,20 @@ def _eps_core(eps_list: list[complex], approx_name: str, bound_eps: complex):
     """Core of both eps methods: the mean of the real parts of the
     eps-circulant rows over ``eps_list``, with the approximation bound (under
     ``approx_name``) and the roundoff bound taken at ``bound_eps``.  phi is
-    taken at the padded length from the scaled row, whose max entry the zero
-    padding does not change."""
+    taken at pad(n'), the length the squarings end at, from the scaled row,
+    whose max entry the zero padding does not change.
+
+    The rows are computed at 2 L_0 blocks (at most pad(n')), keeping L_0:
+    unscaling block k by theta**-k amplifies its roundoff by
+    |eps|**(-k / length), at most |eps|**(-1/2) on the kept blocks."""
 
     def core(sspec, padded):
-        u = BlockVector._wrap(padded)
-        rows = [exp_eps_circulant(u, eps).data.real for eps in eps_list]
-        phi = ea.phi_bound(u.n, sspec.m, float(np.abs(sspec.u.data).max()), 1.0)
+        L0 = padded.shape[0]
+        size = min(2 * L0, _next_pow2(sspec.n))
+        u = BlockVector._wrap(_pad(padded, size) if size > L0 else padded)
+        rows = [exp_eps_circulant(u, eps).data[:L0].real for eps in eps_list]
+        phi = ea.phi_bound(_next_pow2(sspec.n), sspec.m,
+                           float(np.abs(sspec.u.data).max()), 1.0)
         bounds = {approx_name: ea.eps_approx_bound(sspec.l_norm, bound_eps),
                   "roundoff": ea.eps_roundoff_bound(phi, sspec.m, bound_eps)}
         return sum(rows) / len(rows), bounds
@@ -256,9 +273,10 @@ def exp_btt_embedding(spec: SubgeneratorSpec, K: int,
     true ones by at most the row's mass beyond block K, which
     ``embedding_tail_bound`` bounds.
 
-    On the leading n' blocks the circulant keeps the caller's oversampling:
-    it has K * pad(n') / pad(n) blocks, and the reported tail bound is taken
-    there.  The result reports K rounded up to a power of two, so passing
+    On the leading L_0 blocks the core runs at, the circulant keeps the
+    caller's oversampling: it has K * L_0 / pad(n) blocks, and the reported
+    tail bound is taken there; the roundoff bound at K * pad(n') / pad(n).
+    The result reports K rounded up to a power of two, so passing
     ``method_used`` back reproduces the result.
     """
     if K < spec.n:
@@ -266,14 +284,16 @@ def exp_btt_embedding(spec: SubgeneratorSpec, K: int,
     K = _next_pow2(K)
 
     def core(sspec, padded):
-        K2 = K * padded.shape[0] // _next_pow2(spec.n)
-        s = exp_circulant(BlockVector._wrap(_pad(padded, K2)))
+        L0, pad_n = padded.shape[0], _next_pow2(spec.n)
+        head = sspec.leading(min(L0, sspec.n))
+        s = exp_circulant(BlockVector._wrap(_pad(padded, K * L0 // pad_n)))
         # the K-block embedding adds only zero blocks, so the unpadded row
         # has the same max entry without another K-block temporary
-        chi = ea.chi_bound(K2, sspec.m, float(np.abs(sspec.u.data).max()), 1.0)
-        bounds = {"tail": embedding_tail_bound(sspec, K2),
+        chi = ea.chi_bound(K * _next_pow2(sspec.n) // pad_n, sspec.m,
+                           float(np.abs(sspec.u.data).max()), 1.0)
+        bounds = {"tail": embedding_tail_bound(head, K * L0 // pad_n),
                   "roundoff": ea.circulant_roundoff_bound(chi, sspec.m)}
-        return _pad(s.data[:sspec.n], padded.shape[0]), bounds
+        return _pad(s.data[:head.n], L0), bounds
 
     config = MethodConfig("embedding", K=K, use_scaling=use_scaling)
     return _run(spec, config, core)
@@ -345,28 +365,10 @@ def select_epsilon(spec: SubgeneratorSpec, imaginary: bool = True) -> complex:
     return 1j * mag if imaginary else complex(mag)
 
 
-# golden-section steps of each search over log sigma: the interval shrinks
-# by 0.618 per step, and the lengths found are rounded up to a power of two
-_LOG_SIGMA_STEPS = 24
-
-
-def _golden_min(fn, hi: float) -> float:
-    """Point of (0, hi] minimizing a quasi-convex fn, by golden section."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = 0.0, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(_LOG_SIGMA_STEPS):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fn(d)
-    return c if fc <= fd else d
+# the log sigma grid of the tail bound, in units of 700/b, the end of its
+# range: log-spaced, because the minima lie at small log sigma.  Any log
+# sigma gives a valid bound, so every grid minimum over-estimates safely.
+_COARSE = np.geomspace(1e-7, 1.0, 96)
 
 
 def _row_sums(spec: SubgeneratorSpec) -> np.ndarray:
@@ -384,58 +386,87 @@ def _row_sums(spec: SubgeneratorSpec) -> np.ndarray:
     return sums[:spec.n - int(np.argmax(nonzero)) // spec.m]
 
 
-def _least_length(row_sums: np.ndarray, log_target: float) -> tuple[float, float]:
-    """Least real L at which the tail bound is at most e**log_target, and the
-    log sigma that attains it: min over t of (bound at L = 0 - log_target) / t,
-    a quasi-convex function of t (inf when the bound overflows)."""
+def _bound_points(row_sums: np.ndarray, objective) -> tuple[np.ndarray, np.ndarray]:
+    """Points t = log sigma, and G(t) at them (``row_tail_log_bound`` at
+    L = 0: at scale c and length L the bound is c G(t) - L t), at which to
+    minimize ``objective(t, g)``, quasi-convex in t: the coarse grid, plus
+    17 points spanning the neighbours of its coarse minimum."""
+    t = _COARSE * (700.0 / (row_sums.shape[0] - 1))
+    g = ea.row_tail_log_bound(row_sums, 0, t)
+    i = int(np.argmin(objective(t, g)))
+    fine = np.linspace(t[max(i - 1, 0)], t[min(i + 1, t.size - 1)], 17)
+    return (np.concatenate([t, fine]),
+            np.concatenate([g, ea.row_tail_log_bound(row_sums, 0, fine)]))
 
-    def length(t: float) -> float:
-        return (ea.row_tail_log_bound(row_sums, 0, t) - log_target) / t
 
-    t = _golden_min(length, 700.0 / (row_sums.shape[0] - 1))
-    return length(t), t
+def _schedule(spec: SubgeneratorSpec, p: int) -> tuple[int, list[int], float]:
+    """n', the lengths L_0..L_p of the scaling levels (level j is the row of
+    exp(T / 2**(p - j))), and the bound on the mass they drop from the
+    leading n' blocks.  L_j is the least power of two at which the bound on
+    the 2**-(p - j)-scaled row meets T_j = (mu/8) e**s_min 2**-(p - j), made
+    non-decreasing and capped at L_p = pad(n'); n' is level p's, capped at n.
+    The rows computed are entrywise below the true ones, of norm at most 1,
+    so the mass missing after level j is E_j <= 2 E_(j-1) + drop_j, drop_j
+    the bound at L_j (0 at L_j = L_p: those blocks never reach the leading
+    n').  The bound returned is E_p plus the bound at n' (0 when n' = n)."""
+    n = spec.n
+    row_sums = _row_sums(spec)
+    if row_sums.shape[0] == 1:
+        return 1, [1] * (p + 1), 0.0  # block-diagonal: every later block is zero
+    scale = 2.0 ** np.arange(-p, 1)[:, None]
+    log_target = math.log(_MU / 8.0) + float(row_sums.sum(axis=0).min()) + np.log(scale)
 
+    def least_length(t, g):
+        return (scale * g - log_target) / t
 
-def _log_tail(row_sums: np.ndarray, L: int) -> float:
-    """Log of the tail bound at L, minimized over log sigma; the bound is
-    convex in log sigma."""
-
-    def log_tail(t: float) -> float:
-        return ea.row_tail_log_bound(row_sums, L, t)
-
-    t = _golden_min(log_tail, 700.0 / (row_sums.shape[0] - 1))
-    return log_tail(t)
+    # refined at level p, which fixes n'; the other levels' lengths are
+    # rounded up to a power of two, which the coarse grid rarely changes
+    t, g = _bound_points(row_sums, lambda t, g: least_length(t, g)[-1])
+    needs = least_length(t, g).min(axis=1)
+    n_eff = min(_next_pow2(math.ceil(needs[-1])), n) if needs[-1] < n else n
+    top = _next_pow2(n_eff)
+    lengths = list(itertools.accumulate(
+        (_next_pow2(math.ceil(need)) if need < top else top for need in needs), max))
+    drops = np.exp((scale * g - np.array(lengths)[:, None] * t).min(axis=1))
+    missed = 0.0
+    for L, drop in zip(lengths, drops):
+        missed = 2.0 * missed + (float(drop) if L < top else 0.0)
+    if n_eff < n:
+        missed += math.exp(float((g - n_eff * t).min()))
+    return n_eff, lengths, missed
 
 
 def embedding_tail_bound(spec: SubgeneratorSpec, K: int) -> float:
     """Bound on the error of the K-circulant embedding on the leading blocks:
     the row's mass beyond block K, ``row_tail_log_bound`` minimized over
-    log sigma.  0.0 for a block-diagonal row, where the embedding is exact.
-    Pass the instance the circulant is built from (scaled, leading n')."""
+    log sigma on a grid.  0.0 for a block-diagonal row, where the embedding
+    is exact.  Pass the instance the circulant is built from (scaled,
+    leading L_0 blocks)."""
     if K < spec.n:
         raise ValueError(f"K = {K} must be at least n = {spec.n}")
     row_sums = _row_sums(spec)
     if row_sums.shape[0] == 1:
         return 0.0
-    return math.exp(_log_tail(row_sums, K))
+    t, g = _bound_points(row_sums, lambda t, g: g - K * t)
+    return math.exp(float((g - K * t).min()))
 
 
 def select_embedding_K(spec: SubgeneratorSpec, target_error: float) -> int:
     """Smallest power-of-two embedding length, at least n, at which the tail
     bound of ``embedding_tail_bound`` is at most ``target_error``: the least
-    length found by one golden-section search over log sigma, rounded up.
-    Pass the scaled instance.  The embedding reports its tail at
-    K pad(n') / pad(n) on the scaled leading n' blocks, which meets any
-    target of at least mu/8 too: when n' = n it is the bound at K, and when
-    n' < n the unscaled row's bound at n' is at most (mu/8) e**s_min, so the
-    scaled leading row's bound at the same sigma is at most mu/8."""
+    length, min over log sigma of (bound at L = 0 - log target) / log sigma
+    on a grid, rounded up.  Pass the scaled instance.  The embedding reports
+    its tail at K L_0 / pad(n) on the scaled leading L_0 blocks, which meets
+    any target of at least mu/8 too: when L_0 = pad(n) it is the bound at K,
+    and otherwise the scaled row's bound at L_0 is at most mu/8."""
     if not target_error > 0:
         raise ValueError("target_error must be positive")
     row_sums = _row_sums(spec)
     if row_sums.shape[0] == 1:
         return _next_pow2(spec.n)
-    need, _ = _least_length(row_sums, math.log(target_error))
-    return _next_pow2(max(math.ceil(need), spec.n))
+    log_target = math.log(target_error)
+    t, g = _bound_points(row_sums, lambda t, g: (g - log_target) / t)
+    return _next_pow2(max(math.ceil(float(((g - log_target) / t).min())), spec.n))
 
 
 def effective_length(spec: SubgeneratorSpec) -> tuple[int, float]:
@@ -443,24 +474,14 @@ def effective_length(spec: SubgeneratorSpec) -> tuple[int, float]:
     exponential row's mass beyond block n' (0.0 when n' = n).
 
     n' is the smallest power of two at which ``row_tail_log_bound``,
-    minimized over log sigma, is at most (mu/8) e**s_min, capped at n; s_min
-    is the least row sum of S = sum_j U_j.  The row's mass is at least
-    e**s_min, so the dropped tail stays below roundoff relative to the row.
-    Each evaluation of the bound costs O(b m), b the last nonzero block.
+    minimized over log sigma on a grid, is at most (mu/8) e**s_min, capped
+    at n; s_min is the least row sum of S = sum_j U_j.  The row's mass is at
+    least e**s_min, so the dropped tail stays below roundoff relative to the
+    row.  A point of the grid costs O(sqrt(b) + b m), b the last nonzero
+    block.
     """
-    n = spec.n
-    row_sums = _row_sums(spec)
-    if row_sums.shape[0] == 1:
-        return 1, 0.0  # block-diagonal: every block after the first is zero
-    log_target = math.log(_MU / 8.0) + float(row_sums.sum(axis=0).min())
-    need, t_len = _least_length(row_sums, log_target)
-    n_eff = _next_pow2(math.ceil(need)) if need < n else n
-    if n_eff >= n:
-        return n, 0.0
-    # the length search's log sigma already meets the target at n'
-    log_tail = min(_log_tail(row_sums, n_eff),
-                   ea.row_tail_log_bound(row_sums, n_eff, t_len))
-    return n_eff, math.exp(log_tail)
+    n_eff, _, bound = _schedule(spec, 0)
+    return n_eff, bound
 
 
 def compute_exponential(spec: SubgeneratorSpec, config: MethodConfig, *,

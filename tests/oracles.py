@@ -10,6 +10,7 @@ itself is checked against ``long_taylor_expm``.
 
 import numpy as np
 
+from btt_expm.block_linalg import BlockVector, validate_subgenerator
 from btt_expm.dense_expm import _expm_stack
 
 
@@ -93,6 +94,40 @@ def scalar_btt_expm(a):
         w = min(k, band)
         b[k] = np.dot(ja[1:w + 1], b[k - 1::-1][:w]) / k
     return b.reshape(n, 1, 1)
+
+
+def erlang_clock_row(n, m):
+    """U_1 = lam I, U_0 = Q - lam I with lam = n/2 and Q = J - m I (J the
+    all-ones matrix): the mass travels with an Erlang clock of n phases and
+    spans the whole row."""
+    lam = n / 2
+    q = np.full((m, m), 1.0) - m * np.eye(m)
+    u = np.zeros((n, m, m))
+    u[0] = q - lam * np.eye(m)
+    u[1] = lam * np.eye(m)
+    return validate_subgenerator(BlockVector(u))
+
+
+def erlang_clock_exact(n, m):
+    """Exact first block-row of the exponential of ``erlang_clock_row(n, m)``.
+
+    Q commutes with I, so Y_k = e**-lam lam**k / k! e**Q, and J**2 = m J
+    gives e**Q = e**-m I + (1 - e**-m) / m J in closed form.  The Poisson
+    weights are built outward from the mode by their ratios lam / k, in log
+    space, past the point where they underflow, and normalized to sum 1.
+    Summing the log-ratios keeps the weights relatively accurate where
+    lgamma(k + 1), near 3e5 at k = 2**15, would lose about 1e-11 to
+    cancellation."""
+    lam = n / 2
+    mode = int(lam)
+    k = np.arange(max(n, int(lam + 40 * lam ** 0.5) + 100), dtype=float)
+    log_w = np.zeros(k.size)
+    log_w[mode + 1:] = np.cumsum(np.log(lam / k[mode + 1:]))
+    log_w[:mode] = np.cumsum(np.log(k[mode:0:-1] / lam))[::-1]
+    w = np.exp(log_w)
+    w = w[:n] / w.sum()
+    eq = np.exp(-m) * np.eye(m) + (1 - np.exp(-m)) / m * np.ones((m, m))
+    return w[:, None, None] * eq
 
 
 def first_block_row(mat, n, m):

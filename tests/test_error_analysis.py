@@ -253,6 +253,26 @@ class TestRowTailBound:
             assert math.isfinite(ea.row_tail_log_bound(sums, 0, t))
             assert ea.row_tail_log_bound(sums * 1e10, 0, t) == math.inf
 
+    @pytest.mark.parametrize("spec", [
+        banded_subgenerator(64, 3, 4, seed=5, slack=0.3, alpha_target=2.0),
+        banded_subgenerator(4096, 1, 7, seed=2, alpha_target=50.0),
+        random_subgenerator(2048, 3, density=0.3, seed=11, alpha_target=50.0)],
+        ids=["b3", "b6", "b2047"])
+    def test_array_form_matches_direct_sum(self, spec):
+        # the bound at an array of log sigma, which splits each power
+        # sigma**j in two, against sum_j (U_j 1)_i e**(t j) summed directly,
+        # and against itself at each log sigma alone (a float)
+        sums = row_sums(spec)
+        b = sums.shape[0] - 1
+        t = np.geomspace(1e-7, 1.0, 40) * (700.0 / b)
+        direct = (np.exp(np.outer(t, np.arange(b + 1))) @ sums).max(axis=1) - 5 * t
+        got = ea.row_tail_log_bound(sums, 5, t)
+        tol = {"rtol": 1e-12, "atol": 1e-12 * np.abs(sums).sum()}
+        np.testing.assert_allclose(got, direct, **tol)
+        alone = [ea.row_tail_log_bound(sums, 5, x) for x in t[::7]]
+        assert all(isinstance(x, float) for x in alone)
+        np.testing.assert_allclose(alone, got[::7], **tol)
+
     @pytest.mark.parametrize("t", [0.0, -1.0, 700.0 / 2 * (1 + 1e-12)])
     def test_log_sigma_out_of_range_rejected(self, t):
         with pytest.raises(ValueError):

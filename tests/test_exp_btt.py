@@ -23,7 +23,8 @@ from btt_expm.structured_mul import btt_times_btt
 from btt_expm import error_analysis as ea
 from btt_expm import exp_btt, structured_mul
 
-from oracles import expm_small, row_sums, scalar_btt_expm
+from oracles import (erlang_clock_exact, erlang_clock_row, expm_small, row_sums,
+                     scalar_btt_expm)
 
 MU = float(np.finfo(np.float64).eps)
 
@@ -63,6 +64,17 @@ class TestRepeatedSquaring:
         full = expm_dense_oracle(spec)
         squared = repeated_squaring(half, 1)
         assert np.abs(squared.data - full.data).max() <= 1e-12
+
+    def test_hand_square_at_growing_lengths(self):
+        # (2 + 3z)**2 = 4 + 12z + 9z**2, then squared again and kept to 4
+        # terms: 16 + 96z + 216z**2 + 216z**3
+        y = BlockVector(np.array([[[2.0]], [[3.0]]]))
+        out = repeated_squaring(y, 2, [4, 4])
+        np.testing.assert_allclose(out.data.ravel(), [16.0, 96.0, 216.0, 216.0])
+        # kept to 2 terms first, the z**2 term is dropped before the second
+        # square, which changes only the blocks from 2 on
+        out = repeated_squaring(y, 2, [2, 4])
+        np.testing.assert_allclose(out.data.ravel(), [16.0, 96.0, 144.0, 0.0])
 
     def test_negative_p_rejected(self):
         with pytest.raises(ValueError):
@@ -499,17 +511,6 @@ class TestCrossMethodProperties:
         assert error_report(res.y, ref).nw_rel <= 1e-11
 
 
-def erlang_clock_row(n, m):
-    # U_1 = lam I, U_0 = Q - lam I with lam = n/2: the mass travels with an
-    # Erlang clock of n phases and spans the whole row
-    lam = n / 2
-    q = np.full((m, m), 1.0) - m * np.eye(m)
-    u = np.zeros((n, m, m))
-    u[0] = q - lam * np.eye(m)
-    u[1] = lam * np.eye(m)
-    return validate_subgenerator(BlockVector(u))
-
-
 def run_method(name, spec):
     p = scaling_exponent(spec)
     if name == "eps_circulant":
@@ -577,7 +578,9 @@ class TestEffectiveLength:
         assert effective_length(spec) == (4096, 0.0)
         res = exp_btt_eps_averaged(spec, 1e-2, 1)
         assert res.n_eff == 4096
-        assert res.predicted_bounds["truncation"] == 0.0
+        # the levels below the last run short, so the squarings drop mass;
+        # the row sums to 1, and each of the p levels drops at most mu/8
+        assert 0 < res.predicted_bounds["truncation"] <= res.scaling_p * MU / 8
 
     def test_dense_row_keeps_full_length(self):
         spec = random_subgenerator(2048, 3, density=0.3, seed=11, alpha_target=50.0)
@@ -605,8 +608,11 @@ class TestEffectiveLength:
         monkeypatch.setattr(exp_btt, "exp_circulant", recording)
         res = exp_btt_embedding(spec, 3000)
         assert res.n_eff < 512
-        # K rounds up to 4096 = 4 pad(n); the circulant keeps 4 pad(n')
-        assert lengths == [4096 * res.n_eff // 1024]
+        # K rounds up to 4096 = 4 pad(n); the circulant keeps 4 L_0, L_0 the
+        # length the core runs at
+        L0 = exp_btt._schedule(spec, res.scaling_p)[1][0]
+        assert L0 < res.n_eff
+        assert lengths == [4 * L0]
         assert res.method_used.K == 4096
         ref = exp_btt_taylor(spec, 1e-15).y
         assert error_report(res.y, ref).nw_rel <= 1e-12
@@ -627,7 +633,10 @@ class TestEffectiveLength:
         n_eff, bound = effective_length(spec)
         assert res.n_eff == n_eff < 512
         assert res.predicted_bounds.keys() == {"truncation", "series"}
-        assert res.predicted_bounds["truncation"] == bound
+        # the bound at n' plus the mass the shorter levels drop
+        truncation = exp_btt._schedule(spec, res.scaling_p)[2]
+        assert res.predicted_bounds["truncation"] == truncation
+        assert bound < truncation <= bound + res.scaling_p * MU / 8
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -644,10 +653,19 @@ class TestEffectiveLength:
 
         res = run_method(name, spec)
         event("n' < n" if res.n_eff < n else "n' = n")
+        bounds = res.predicted_bounds
         tail = exact[res.n_eff:].sum(axis=(0, 2)).max(initial=0.0)
-        assert tail <= res.predicted_bounds["truncation"]
-        assert (res.n_eff == n) == (res.predicted_bounds["truncation"] == 0.0) \
-            or spec.l_norm == 0.0
+        assert tail <= bounds["truncation"]
+        lengths = exp_btt._schedule(spec, res.scaling_p)[1]
+        full = res.n_eff == n and lengths[0] == lengths[-1]
+        assert full == (bounds["truncation"] == 0.0) or spec.l_norm == 0.0
+        # the mass the shorter levels drop from the leading n' blocks is
+        # within the reported truncation, plus the method's own error bounds
+        # and roundoff, which at most doubles in each squaring of a row of
+        # norm at most 1
+        k = res.n_eff
+        missed = (exact[:k].sum(axis=(0, 2)) - res.y.data[:k].sum(axis=(0, 2))).max()
+        assert missed <= sum(bounds.values()) + 2.0 ** res.scaling_p * 64 * MU
         assert res.y.n == n
         assert np.all(res.y.data[res.n_eff:] == 0)
         assert not res.y.data.flags.writeable
@@ -662,6 +680,46 @@ class TestEffectiveLength:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(data=st.data())
+    def test_schedule_meets_level_targets(self, data):
+        # L_0..L_p are non-decreasing powers of two ending at pad(n'); each
+        # L_j < pad(n') meets its level's target (mu/8) e**s_min 2**-(p-j) on
+        # the 2**-(p-j)-scaled row, checked on a fine grid of the bound in
+        # its direct form; the reported truncation covers the dropped mass
+        # accumulated as E_j = 2 E_(j-1) + drop_j, plus the bound at n'
+        spec = draw_row(data)
+        p = scaling_exponent(spec)
+        n_eff, lengths, truncation = exp_btt._schedule(spec, p)
+        assert (n_eff, lengths[-1]) == (effective_length(spec)[0], exp_btt._next_pow2(n_eff))
+        assert len(lengths) == p + 1
+        assert all(L & (L - 1) == 0 for L in lengths)
+        assert all(a <= b for a, b in zip(lengths, lengths[1:]))
+        if spec.l_norm == 0.0:  # block-diagonal: every block after the first is 0
+            assert truncation == 0.0 and set(lengths) == {1}
+            return
+        sums = row_sums(spec)
+        b = sums.shape[0] - 1
+        # the grid's minima are within 1% of the bound's (a step of 1% in
+        # log sigma), so each comparison allows 2%
+        t = np.geomspace(1e-9, 1.0, 2000) * (700.0 / b)
+        with np.errstate(over="ignore"):
+            growth = (np.exp(np.outer(t, np.arange(b + 1))) @ sums).max(axis=1)
+        log_target = math.log(MU / 8) + sums.sum(axis=0).min()
+        missed = 0.0
+        for j, L in enumerate(lengths):
+            scale = 2.0 ** (j - p)
+            log_drop = (scale * growth - L * t).min()
+            missed *= 2.0
+            if L < lengths[-1]:
+                event("a level runs short")
+                assert log_drop <= log_target + math.log(scale) + 0.02
+                missed += math.exp(log_drop)
+        if n_eff < spec.n:
+            missed += math.exp((growth - n_eff * t).min())
+        assert truncation >= missed * math.exp(-0.02)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
     def test_selected_K_meets_target(self, data):
         # the rule picks K on the whole scaled row; the run takes the tail at
         # the leading n' blocks and K pad(n') / pad(n)
@@ -671,6 +729,25 @@ class TestEffectiveLength:
         res = exp_btt_embedding(spec, K)
         event("n' < n" if res.n_eff < spec.n else "n' = n")
         assert res.predicted_bounds["tail"] <= target
+
+
+class TestErlangClockOracle:
+    """All four methods at n = 2**14, m = 2 and n = 2**16, m = 1 against the
+    exact Poisson-times-e**Q row: rows whose mass spans all n blocks, so
+    n' = n, p = log2(n) and the squarings run at growing lengths."""
+
+    @pytest.fixture(scope="class", params=[(2 ** 14, 2), (2 ** 16, 1)],
+                    ids=["16384x2", "65536x1"])
+    def case(self, request):
+        n, m = request.param
+        return erlang_clock_row(n, m), BlockVector(erlang_clock_exact(n, m))
+
+    @pytest.mark.parametrize("name", METHOD_NAMES)
+    def test_accuracy(self, case, name):
+        spec, ref = case
+        res = run_method(name, spec)
+        assert res.n_eff == spec.n
+        assert error_report(res.y, ref).nw_rel <= 5e-10
 
 
 class TestStructuralInvariants:
