@@ -9,7 +9,8 @@ products of ``structured_mul`` alike.
 The small-block kernel is scaling-and-squaring with a Taylor polynomial of
 fixed degree (Higham, SIMAX 26(4), 2005; Al-Mohy & Higham, SIMAX 31(3),
 2009): every block is scaled by a power of two to inf-norm at most 1/2, the
-degree-14 polynomial is evaluated by Horner's rule over the whole stack, and
+degree-14 polynomial is evaluated over the whole stack by Paterson and
+Stockmeyer's scheme in x^4 (6 products where Horner's rule takes 13), and
 each block is squared back by its own number of steps.  The degree is the
 smallest whose truncation error is below machine epsilon at norm 1/2, so no
 term count is tested at run time.  The stack is processed in chunks of a
@@ -37,7 +38,7 @@ __all__ = [
 
 _MAX_TERMS = 200
 _MU = float(np.finfo(np.float64).eps)
-_CHUNK_ENTRIES = 2 ** 14
+_CHUNK_ENTRIES = 2 ** 13
 _BROADCAST_MAX_M = 4  # above this, stacked matmul beats m broadcast multiply-adds
 
 # smallest d with e^(1/2) (1/2)^(d+1) / (d+1)! <= mu: the Taylor remainder
@@ -93,14 +94,20 @@ def _expm_chunk(a: np.ndarray) -> np.ndarray:
     frac, expo = np.frexp(_inf_norms(a))
     s = np.maximum(expo + (frac > 0.5), 0)
     x = a * np.ldexp(1.0, -s)[:, None, None]
-    # Horner: r = c_d x + c_(d-1) I, then r = x r + c_k I for k = d-2 .. 0;
-    # the diagonal is indexed, so the add holds for any memory layout of r
+    # Paterson-Stockmeyer in x^4 (Higham, Functions of Matrices, 2008,
+    # sec. 4.2): with B_i = sum_(j<4) c_(4i+j) x^j, r = B_3, then
+    # r = x^4 r + B_i for i = 2, 1, 0, six products in all.  The diagonal is
+    # indexed, so the add holds for any memory layout of r
     idx = np.arange(m)
-    r = x * _COEFFS[_DEGREE]
-    r[:, idx, idx] += _COEFFS[_DEGREE - 1]
-    for c in reversed(_COEFFS[:_DEGREE - 1]):
-        r = _stack_matmul(x, r)
-        r[:, idx, idx] += c
+    x2 = _stack_matmul(x, x)
+    powers = (x, x2, _stack_matmul(x2, x))
+    x4 = _stack_matmul(x2, x2)
+    r = None
+    for i in range(_DEGREE // 4 * 4, -1, -4):
+        r = 0.0 if r is None else _stack_matmul(x4, r)
+        for c, xj in zip(_COEFFS[i + 1:i + 4], powers):
+            r += c * xj
+        r[:, idx, idx] += _COEFFS[i]
     for step in range(int(s.max())):
         mask = s > step
         sub = r[mask]

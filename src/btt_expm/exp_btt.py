@@ -6,7 +6,8 @@ Four routes, all returning the first block-row of the exponential:
 * ``exp_btt_eps``: approximate by the eps-circulant exponential; a pure
   imaginary eps makes the error quadratic in |eps| after taking real parts.
 * ``exp_btt_eps_averaged``: average the real parts over k rotated values of
-  eps, cancelling the error terms below degree 2k.
+  eps, cancelling the error terms below degree 2k; the average is the row
+  of one eps-circulant of k times the length.
 * ``exp_btt_embedding``: embed into a K-circulant and keep the leading blocks;
   the error is at most the row's mass beyond block K.
 * ``exp_btt_taylor``: shifted Taylor series with structured products, summing
@@ -38,7 +39,6 @@ padding (the embedding's core pads on from L_0 to its circulant length).
 
 from __future__ import annotations
 
-import cmath
 import dataclasses
 import itertools
 import math
@@ -50,7 +50,7 @@ from . import error_analysis as ea
 from . import structured_mul
 from .block_linalg import BlockVector, SubgeneratorSpec
 from .errors import NumericalError
-from .exp_circulant import exp_circulant, exp_eps_circulant
+from .exp_circulant import _exp_eps_circulant, exp_circulant
 from .structured_mul import btt_times_btt
 
 __all__ = [
@@ -202,27 +202,29 @@ def _run(spec: SubgeneratorSpec, config: MethodConfig, core) -> ExpResult:
                      scaling_p=p, n_eff=n_eff, predicted_bounds=bounds)
 
 
-def _eps_core(eps_list: list[complex], approx_name: str, bound_eps: complex):
-    """Core of both eps methods: the mean of the real parts of the
-    eps-circulant rows over ``eps_list``, with the approximation bound (under
-    ``approx_name``) and the roundoff bound taken at ``bound_eps``.  phi is
-    taken at pad(n'), the length the squarings end at, from the scaled row,
-    whose max entry the zero padding does not change.
+def _eps_core(k: int, log_eps: complex, approx_name: str, bound_eps: complex):
+    """Core of both eps methods: the real part of the row of the
+    (e**log_eps)-circulant of k times the rows' length, with the
+    approximation bound (under ``approx_name``) and the roundoff bound taken
+    at ``bound_eps``.  The averaged method's k values eps_j = i**(1/k) *
+    w_k**j * theta give log_eps = k log(theta) + i pi/2: the roots of
+    z**length = eps_j over all j are the roots of z**(k length) =
+    i theta**k, so that row is the mean of the k eps_j-circulant rows.  phi
+    is taken at pad(n'), the length the squarings end at, from the scaled
+    row, whose max entry the zero padding does not change.
 
     The rows are computed at 2 L_0 blocks (at most pad(n')), keeping L_0:
-    unscaling block k by theta**-k amplifies its roundoff by
-    |eps|**(-k / length), at most |eps|**(-1/2) on the kept blocks."""
+    unscaling block r by theta**-r amplifies its roundoff by
+    |eps|**(-r / length), at most |eps|**(-1/2) on the kept blocks."""
 
     def core(sspec, padded):
-        L0 = padded.shape[0]
-        size = min(2 * L0, _next_pow2(sspec.n))
-        u = BlockVector._wrap(_pad(padded, size) if size > L0 else padded)
-        rows = [exp_eps_circulant(u, eps).data[:L0].real for eps in eps_list]
+        size = min(2 * padded.shape[0], _next_pow2(sspec.n))
+        row = _exp_eps_circulant(padded, k * size, log_eps).real.copy()
         phi = ea.phi_bound(_next_pow2(sspec.n), sspec.m,
                            float(np.abs(sspec.u.data).max()), 1.0)
         bounds = {approx_name: ea.eps_approx_bound(sspec.l_norm, bound_eps),
                   "roundoff": ea.eps_roundoff_bound(phi, sspec.m, bound_eps)}
-        return sum(rows) / len(rows), bounds
+        return row, bounds
 
     return core
 
@@ -242,8 +244,9 @@ def exp_btt_eps(spec: SubgeneratorSpec, epsilon: complex, use_scaling: bool = Tr
     if not allow_large_eps and abs(epsilon) >= 1:
         raise ValueError(f"|epsilon| = {abs(epsilon)!r} must be below 1")
 
+    log_eps = complex(math.log(abs(epsilon)), math.atan2(epsilon.imag, epsilon.real))
     config = MethodConfig("eps_circulant", epsilon=epsilon, use_scaling=use_scaling)
-    return _run(spec, config, _eps_core([epsilon], "approx", epsilon))
+    return _run(spec, config, _eps_core(1, log_eps, "approx", epsilon))
 
 
 def exp_btt_eps_averaged(spec: SubgeneratorSpec, theta_mag: float, k: int,
@@ -259,11 +262,9 @@ def exp_btt_eps_averaged(spec: SubgeneratorSpec, theta_mag: float, k: int,
     if not allow_large_eps and not theta_mag < 1:
         raise ValueError(f"theta_mag = {theta_mag!r} must be below 1")
     k = int(k)
-    root_i = cmath.exp(1j * math.pi / (2 * k))  # principal k-th root of i
-    eps_list = [root_i * cmath.exp(2j * math.pi * j / k) * theta_mag for j in range(k)]
-
     config = MethodConfig("eps_averaged", theta_mag=theta_mag, k=k, use_scaling=use_scaling)
-    return _run(spec, config, _eps_core(eps_list, "single_point_approx", 1j * theta_mag))
+    log_eps = complex(k * math.log(theta_mag), math.pi / 2)
+    return _run(spec, config, _eps_core(k, log_eps, "single_point_approx", 1j * theta_mag))
 
 
 def exp_btt_embedding(spec: SubgeneratorSpec, K: int,

@@ -8,10 +8,14 @@ the exponential of a leading block or of a small dense assembly; the kernel
 itself is checked against ``long_taylor_expm``.
 """
 
+import cmath
+import math
+
 import numpy as np
 
 from btt_expm.block_linalg import BlockVector, validate_subgenerator
 from btt_expm.dense_expm import _expm_stack
+from btt_expm.exp_circulant import exp_eps_circulant
 
 
 def direct_idft(x):
@@ -128,6 +132,16 @@ def erlang_clock_exact(n, m):
     w = w[:n] / w.sum()
     eq = np.exp(-m) * np.eye(m) + (1 - np.exp(-m)) / m * np.ones((m, m))
     return w[:, None, None] * eq
+
+
+def eps_average_rows(u, theta, k):
+    """The mean of the real parts of ``exp_eps_circulant(u, eps_j)`` over
+    the k rotated values eps_j = i**(1/k) * w_k**j * theta: the eps-averaged
+    core as k separate circulants."""
+    root_i = cmath.exp(1j * math.pi / (2 * k))  # principal k-th root of i
+    rows = [exp_eps_circulant(u, root_i * cmath.exp(2j * math.pi * j / k) * theta).data.real
+            for j in range(k)]
+    return sum(rows) / k
 
 
 def first_block_row(mat, n, m):

@@ -8,6 +8,7 @@ from btt_expm.dense_expm import (_CHUNK_ENTRIES, _DEGREE, _MU, _expm_stack,
                                  _stack_matmul, assemble_btt_dense,
                                  expm_dense_oracle)
 from btt_expm.model_gen import random_subgenerator
+from btt_expm import dense_expm
 
 from oracles import dense_btt, expm_small, long_taylor_expm
 
@@ -102,6 +103,33 @@ class TestExpmSmall:
         # by up to 1.8e-13 there, and the reference above by 1.4e-13
         tol = 1e-13 if complex_ else 3e-13
         assert np.all(err <= tol * np.abs(ref).sum(axis=2).max(axis=1))
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("m", [2, 5])
+    def test_six_products_at_norm_half(self, m, complex_, monkeypatch):
+        # Paterson-Stockmeyer: x^2, x^3, x^4 and three steps in x^4; blocks
+        # of norm at most 1/2 (1/2 itself included) take no squaring
+        rng = np.random.default_rng(m)
+        stack = rng.standard_normal((40, m, m))
+        if complex_:
+            stack = stack + 1j * rng.standard_normal((40, m, m))
+        norms = np.abs(stack).sum(axis=2).max(axis=1)
+        stack *= (np.linspace(0.0, 0.5, 40) / norms)[:, None, None]
+        stack[-1] = 0.25 * (np.eye(m) + np.eye(m, k=1))  # norm 1/2 exactly
+        calls = []
+        product = dense_expm._stack_matmul
+
+        def counted(x, y):
+            calls.append(x.shape[0])
+            return product(x, y)
+
+        monkeypatch.setattr(dense_expm, "_stack_matmul", counted)
+        out = _expm_stack(stack)
+        assert calls == [40] * 6
+        # the reference, not the kernel, is off by up to 3e-14 here
+        ref = long_taylor_expm(stack)
+        err = np.abs(out - ref).sum(axis=2).max(axis=1)
+        assert np.all(err <= 1e-13 * np.abs(ref).sum(axis=2).max(axis=1))
 
     def test_degree_is_smallest_meeting_remainder_bound(self):
         def remainder(d):

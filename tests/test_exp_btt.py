@@ -23,8 +23,8 @@ from btt_expm.structured_mul import btt_times_btt
 from btt_expm import error_analysis as ea
 from btt_expm import exp_btt, structured_mul
 
-from oracles import (erlang_clock_exact, erlang_clock_row, expm_small, row_sums,
-                     scalar_btt_expm)
+from oracles import (block_row_inf_norm, eps_average_rows, erlang_clock_exact,
+                     erlang_clock_row, expm_small, row_sums, scalar_btt_expm)
 
 MU = float(np.finfo(np.float64).eps)
 
@@ -133,6 +133,35 @@ class TestAveragedMethod:
         a = exp_btt_eps_averaged(spec, 1e-2, 1).y.data
         b = exp_btt_eps(spec, 1e-2j).y.data
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("theta", [1e-2, 0.5])
+    @pytest.mark.parametrize("n", [1, 5, 64])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 7])
+    @pytest.mark.parametrize("m", [1, 2, 3, 8])
+    def test_core_is_the_mean_of_k_circulants(self, m, k, n, theta):
+        # the N-th roots of the k rotated eps are together the kN-th roots of
+        # i theta**k, so one circulant of kN blocks gives the mean of the k
+        # eps-circulant rows of N blocks
+        spec = random_subgenerator(n, m, slack=0.3, seed=n + m + k, alpha_target=4.0)
+        sspec = spec.scaled(scaling_exponent(spec))
+        log_eps = complex(k * math.log(theta), math.pi / 2)
+        core = exp_btt._eps_core(k, log_eps, "single_point_approx", 1j * theta)
+        row, _ = core(sspec, sspec.u.data.copy())
+        size = min(2 * n, exp_btt._next_pow2(n))
+        padded = np.zeros((size, m, m))
+        padded[:n] = sspec.u.data
+        ref = eps_average_rows(BlockVector(padded), theta, k)[:n]
+        diff = block_row_inf_norm(BlockVector(row - ref))
+        assert diff <= 1e-13 * block_row_inf_norm(BlockVector(ref))
+
+    @pytest.mark.parametrize("theta,k,large", [(1e-2, 200, False), (2.0, 1100, True)])
+    def test_theta_power_outside_float_range(self, theta, k, large):
+        # theta**k underflows (1e-400) or overflows (2**1100): the core takes
+        # its log and never forms it
+        spec = random_subgenerator(8, 2, seed=20, alpha_target=1.0)
+        ref = expm_dense_oracle(spec)
+        res = exp_btt_eps_averaged(spec, theta, k, allow_large_eps=large)
+        assert error_report(res.y, ref).nw_rel <= 100 * MU
 
     def test_more_points_cannot_hurt(self):
         spec = random_subgenerator(4, 2, seed=20, alpha_target=1.0)
