@@ -11,6 +11,7 @@ import dataclasses
 
 import numpy as np
 
+from . import error_analysis as ea
 from .errors import ValidationError
 
 __all__ = [
@@ -84,17 +85,20 @@ class BlockVector:
         return f"BlockVector(n={self.n}, m={self.m}, dtype={self._data.dtype})"
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class SubgeneratorSpec:
     """A validated real block-vector whose triangular block-Toeplitz matrix is
-    a subgenerator, together with the two scalars every method needs:
-    ``alpha`` (largest diagonal decay rate) and ``l_norm`` (inf-norm of the
-    wrapped lower-triangular part that an eps-circulant approximation adds).
+    a subgenerator, with what every method and bound reads off it:
+    ``alpha`` (largest diagonal decay rate), ``row_sums`` (the (b + 1, m)
+    array of U_j 1 for j = 0..b, b the last nonzero block, 0 for a
+    block-diagonal row) and ``tail_grid`` (``error_analysis.tail_grid`` of
+    them: the coarse table of the tail bound).
     """
 
     u: BlockVector
     alpha: float
-    l_norm: float
+    row_sums: np.ndarray
+    tail_grid: tuple[np.ndarray, np.ndarray]
 
     @property
     def n(self) -> int:
@@ -104,28 +108,45 @@ class SubgeneratorSpec:
     def m(self) -> int:
         return self.u.m
 
+    @property
+    def l_norm(self) -> float:
+        """Inf-norm of the wrapped lower-triangular part that an eps-circulant
+        approximation adds: the largest row sum of U_1 + ... + U_b, whose
+        blocks are nonnegative, summed from block b down (0 when b = 0)."""
+        return float(np.cumsum(self.row_sums[:0:-1], axis=0)[-1:].max(initial=0.0))
+
     def leading(self, k: int) -> "SubgeneratorSpec":
         """The SubgeneratorSpec of the first k blocks.  Its exponential row is
         the first k blocks of this one's (a leading principal submatrix of a
         triangular matrix), and dropping nonnegative blocks keeps every
-        row-sum property."""
+        row-sum property.  Past block b it shares this one's row sums and
+        table."""
         if k == self.n:
             return self
-        lead = self.u.data[:k]
-        return SubgeneratorSpec(u=BlockVector._wrap(lead), alpha=self.alpha,
-                                l_norm=_l_norm(lead))
+        lead = BlockVector._wrap(self.u.data[:k])
+        if k >= self.row_sums.shape[0]:
+            return dataclasses.replace(self, u=lead)
+        return _spec(lead, self.alpha, self.row_sums[:k])
 
     def scaled(self, p: int) -> "SubgeneratorSpec":
         """The SubgeneratorSpec of u / 2**p.  Exact: scaling by a power of two
-        preserves every sign and row-sum property."""
+        preserves every sign and row-sum property, and scales the row sums
+        and G (a sum of their multiples) by 2**-p."""
         if p == 0:
             return self
         f = 2.0 ** (-p)
-        return SubgeneratorSpec(
-            u=BlockVector._wrap(self.u.data * f),
-            alpha=self.alpha * f,
-            l_norm=self.l_norm * f,
-        )
+        t, g = self.tail_grid
+        return SubgeneratorSpec(u=BlockVector._wrap(self.u.data * f), alpha=self.alpha * f,
+                                row_sums=self.row_sums * f, tail_grid=(t, g * f))
+
+
+def _spec(u: BlockVector, alpha: float, sums: np.ndarray) -> SubgeneratorSpec:
+    # blocks after the first are nonnegative, so U_j 1 = 0 only when U_j = 0;
+    # b is the last nonzero block, found from the end by argmax
+    nonzero = sums[:0:-1].reshape(-1) != 0
+    b1 = sums.shape[0] - int(np.argmax(nonzero)) // u.m if nonzero.any() else 1
+    sums = sums[:b1].copy()  # not a view, which would keep all n blocks' sums
+    return SubgeneratorSpec(u=u, alpha=alpha, row_sums=sums, tail_grid=ea.tail_grid(sums))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -148,16 +169,9 @@ def _row_norm(arr: np.ndarray) -> float:
     return float(np.abs(arr).sum(axis=(0, 2)).max())
 
 
-def _l_norm(arr: np.ndarray) -> float:
-    # max row sum over the stacked tails [U_{n-i}, ..., U_{n-1}], i = 1..n-1
-    if arr.shape[0] == 1:
-        return 0.0
-    return float(np.cumsum(np.abs(arr[:0:-1]).sum(axis=2), axis=0).max())
-
-
 def validate_subgenerator(u: BlockVector, tol: float | None = None) -> SubgeneratorSpec:
-    """Check the subgenerator sign and row-sum conditions and compute the
-    derived scalars.
+    """Check the subgenerator sign and row-sum conditions, and compute the
+    row sums U_j 1 and the tail bound's table from the same sums.
 
     The diagonal of the leading block must be negative, every other entry
     nonnegative, and each full block-row must sum to at most ``tol``
@@ -190,14 +204,17 @@ def validate_subgenerator(u: BlockVector, tol: float | None = None) -> Subgenera
     alpha = float(-diag.min())
     if tol is None:
         tol = 1e-12 * alpha
-    row_sums = arr.sum(axis=(0, 2))
-    worst = float(row_sums.max())
+    sums = arr[:, :, 0].copy()  # U_j 1, a column at a time: faster than sum(axis=2)
+    for col in range(1, u.m):
+        sums += arr[:, :, col]
+    totals = sums.sum(axis=0)
+    worst = float(totals.max())
     if worst > tol:
-        r = int(np.argmax(row_sums))
+        r = int(np.argmax(totals))
         raise ValidationError(
             f"positive row sum: row {r} sums to {worst!r} (> tolerance {tol!r})")
 
-    return SubgeneratorSpec(u=u, alpha=alpha, l_norm=_l_norm(arr))
+    return _spec(u, alpha, sums)
 
 
 def error_report(computed: BlockVector, reference: BlockVector) -> ErrorReport:

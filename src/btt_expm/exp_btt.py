@@ -22,10 +22,10 @@ padding (the embedding's core pads on from L_0 to its circulant length).
 * scale: the input is divided by 2**p so the decay rate is at most 1.
 * length schedule: the leading n' blocks of exp(T_n) are exp(T_n') exactly,
   so each route works on the leading n' blocks only, and the row of
-  exp(T / 2**(p - j)) at scaling level j needs fewer still.  One grid of
-  the a-priori tail bound (``error_analysis.row_tail_log_bound``) fixes n'
-  and the power-of-two lengths L_0 <= ... <= L_p = pad(n') (``_schedule``);
-  the same bound picks the embedding length (``select_embedding_K``) and
+  exp(T / 2**(p - j)) at scaling level j needs fewer still.  The spec's
+  table of the a-priori tail bound (``tail_grid``, built in validation)
+  fixes n' and the power-of-two lengths L_0 <= ... <= L_p = pad(n')
+  (``_schedule``), picks the embedding length (``select_embedding_K``) and
   bounds the embedding's error (``embedding_tail_bound``).
 * pad: the leading L_0 blocks are zero-padded to L_0 (the padded
   exponential contains the original one as its leading principal part).
@@ -65,7 +65,6 @@ __all__ = [
     "select_epsilon",
     "select_embedding_K",
     "embedding_tail_bound",
-    "effective_length",
     "compute_exponential",
 ]
 
@@ -351,53 +350,19 @@ def select_epsilon(spec: SubgeneratorSpec, imaginary: bool = True) -> complex:
     instance (post-scaling norms are what the balance uses).  Returns
     i*|eps| when ``imaginary``.
     """
-    m = spec.m
-    if spec.l_norm == 0:
+    m, l_norm = spec.m, spec.l_norm
+    if l_norm == 0:
         # block-diagonal case: any eps is exact, pick a tiny default
         return 1j * _MU ** (1.0 / 3.0)
     phi = ea.phi_bound(_next_pow2(spec.n), m, float(np.abs(spec.u.data).max()), 1.0)
     if imaginary:
-        mag = (m * _MU * phi / spec.l_norm ** 2) ** (1.0 / 3.0)
+        mag = (m * _MU * phi / l_norm ** 2) ** (1.0 / 3.0)
     else:
-        mag = (m * _MU * phi / spec.l_norm) ** 0.5
+        mag = (m * _MU * phi / l_norm) ** 0.5
     # tiny l_norm can push the balance past 1; anything near 1 already makes
     # the approximation error negligible, so clamp into the valid range
     mag = min(mag, 0.9)
     return 1j * mag if imaginary else complex(mag)
-
-
-# the log sigma grid of the tail bound, in units of 700/b, the end of its
-# range: log-spaced, because the minima lie at small log sigma.  Any log
-# sigma gives a valid bound, so every grid minimum over-estimates safely.
-_COARSE = np.geomspace(1e-7, 1.0, 96)
-
-
-def _row_sums(spec: SubgeneratorSpec) -> np.ndarray:
-    """U_j 1 for j = 0..b, b the last nonzero block (0 for a block-diagonal
-    row), as ``row_tail_log_bound`` takes them."""
-    u = spec.u.data
-    sums = u[:, :, 0].copy()  # a column at a time: faster than sum(axis=2)
-    for col in range(1, spec.m):
-        sums += u[:, :, col]
-    # blocks after the first are nonnegative, so U_j 1 = 0 only when U_j = 0;
-    # b is the last nonzero block, found from the end by argmax
-    nonzero = sums[:0:-1].reshape(-1) != 0
-    if not nonzero.any():
-        return sums[:1]
-    return sums[:spec.n - int(np.argmax(nonzero)) // spec.m]
-
-
-def _bound_points(row_sums: np.ndarray, objective) -> tuple[np.ndarray, np.ndarray]:
-    """Points t = log sigma, and G(t) at them (``row_tail_log_bound`` at
-    L = 0: at scale c and length L the bound is c G(t) - L t), at which to
-    minimize ``objective(t, g)``, quasi-convex in t: the coarse grid, plus
-    17 points spanning the neighbours of its coarse minimum."""
-    t = _COARSE * (700.0 / (row_sums.shape[0] - 1))
-    g = ea.row_tail_log_bound(row_sums, 0, t)
-    i = int(np.argmin(objective(t, g)))
-    fine = np.linspace(t[max(i - 1, 0)], t[min(i + 1, t.size - 1)], 17)
-    return (np.concatenate([t, fine]),
-            np.concatenate([g, ea.row_tail_log_bound(row_sums, 0, fine)]))
 
 
 def _schedule(spec: SubgeneratorSpec, p: int) -> tuple[int, list[int], float]:
@@ -410,8 +375,7 @@ def _schedule(spec: SubgeneratorSpec, p: int) -> tuple[int, list[int], float]:
     so the mass missing after level j is E_j <= 2 E_(j-1) + drop_j, drop_j
     the bound at L_j (0 at L_j = L_p: those blocks never reach the leading
     n').  The bound returned is E_p plus the bound at n' (0 when n' = n)."""
-    n = spec.n
-    row_sums = _row_sums(spec)
+    n, row_sums = spec.n, spec.row_sums
     if row_sums.shape[0] == 1:
         return 1, [1] * (p + 1), 0.0  # block-diagonal: every later block is zero
     scale = 2.0 ** np.arange(-p, 1)[:, None]
@@ -422,7 +386,7 @@ def _schedule(spec: SubgeneratorSpec, p: int) -> tuple[int, list[int], float]:
 
     # refined at level p, which fixes n'; the other levels' lengths are
     # rounded up to a power of two, which the coarse grid rarely changes
-    t, g = _bound_points(row_sums, lambda t, g: least_length(t, g)[-1])
+    t, g = ea.refine_tail_grid(spec, lambda t, g: least_length(t, g)[-1])
     needs = least_length(t, g).min(axis=1)
     n_eff = min(_next_pow2(math.ceil(needs[-1])), n) if needs[-1] < n else n
     top = _next_pow2(n_eff)
@@ -445,10 +409,9 @@ def embedding_tail_bound(spec: SubgeneratorSpec, K: int) -> float:
     leading L_0 blocks)."""
     if K < spec.n:
         raise ValueError(f"K = {K} must be at least n = {spec.n}")
-    row_sums = _row_sums(spec)
-    if row_sums.shape[0] == 1:
+    if spec.row_sums.shape[0] == 1:
         return 0.0
-    t, g = _bound_points(row_sums, lambda t, g: g - K * t)
+    t, g = ea.refine_tail_grid(spec, lambda t, g: g - K * t)
     return math.exp(float((g - K * t).min()))
 
 
@@ -462,27 +425,11 @@ def select_embedding_K(spec: SubgeneratorSpec, target_error: float) -> int:
     and otherwise the scaled row's bound at L_0 is at most mu/8."""
     if not target_error > 0:
         raise ValueError("target_error must be positive")
-    row_sums = _row_sums(spec)
-    if row_sums.shape[0] == 1:
+    if spec.row_sums.shape[0] == 1:
         return _next_pow2(spec.n)
     log_target = math.log(target_error)
-    t, g = _bound_points(row_sums, lambda t, g: (g - log_target) / t)
+    t, g = ea.refine_tail_grid(spec, lambda t, g: (g - log_target) / t)
     return _next_pow2(max(math.ceil(float(((g - log_target) / t).min())), spec.n))
-
-
-def effective_length(spec: SubgeneratorSpec) -> tuple[int, float]:
-    """The effective length n' every method runs at, and the bound on the
-    exponential row's mass beyond block n' (0.0 when n' = n).
-
-    n' is the smallest power of two at which ``row_tail_log_bound``,
-    minimized over log sigma on a grid, is at most (mu/8) e**s_min, capped
-    at n; s_min is the least row sum of S = sum_j U_j.  The row's mass is at
-    least e**s_min, so the dropped tail stays below roundoff relative to the
-    row.  A point of the grid costs O(sqrt(b) + b m), b the last nonzero
-    block.
-    """
-    n_eff, _, bound = _schedule(spec, 0)
-    return n_eff, bound
 
 
 def compute_exponential(spec: SubgeneratorSpec, config: MethodConfig, *,

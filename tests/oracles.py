@@ -193,11 +193,21 @@ def brute_error_metrics(computed, reference):
 
 
 def row_sums(spec):
-    """U_j 1 for j = 0..b, b the last nonzero block, the input of
-    ``error_analysis.row_tail_log_bound``."""
+    """U_j 1 for j = 0..b, b the last nonzero block (0 for a block-diagonal
+    row), the input of ``error_analysis.row_tail_log_bound``."""
     sums = spec.u.data.sum(axis=2)
     far = np.flatnonzero(sums[1:].any(axis=1))
-    return sums[:far[-1] + 2]
+    return sums[:far[-1] + 2] if far.size else sums[:1]
+
+
+def l_norm(spec):
+    """Inf-norm of the wrapped lower-triangular part of the eps-circulant:
+    the largest row sum over the stacked tails [U_(n-i), ..., U_(n-1)],
+    i = 1..n-1, by cumulative sums of absolute values."""
+    arr = spec.u.data
+    if arr.shape[0] == 1:
+        return 0.0
+    return float(np.cumsum(np.abs(arr[:0:-1]).sum(axis=2), axis=0).max())
 
 
 def expm_small(a):

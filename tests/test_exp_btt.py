@@ -5,14 +5,13 @@ import pytest
 from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
-from btt_expm.block_linalg import (BlockVector, SubgeneratorSpec, error_report,
-                                   validate_subgenerator)
+from btt_expm.block_linalg import BlockVector, error_report, validate_subgenerator
 from btt_expm.dense_expm import expm_dense_oracle
 from btt_expm.errors import NumericalError
 from btt_expm.exp_btt import (MethodConfig, compute_exponential,
                               exp_btt_embedding, exp_btt_eps,
                               exp_btt_eps_averaged, exp_btt_taylor,
-                              effective_length, embedding_tail_bound,
+                              embedding_tail_bound,
                               repeated_squaring,
                               scaling_exponent, select_embedding_K,
                               select_epsilon)
@@ -24,7 +23,7 @@ from btt_expm import error_analysis as ea
 from btt_expm import exp_btt, structured_mul
 
 from oracles import (block_row_inf_norm, eps_average_rows, erlang_clock_exact,
-                     erlang_clock_row, expm_small, row_sums, scalar_btt_expm)
+                     erlang_clock_row, expm_small, l_norm, row_sums, scalar_btt_expm)
 
 MU = float(np.finfo(np.float64).eps)
 
@@ -36,14 +35,12 @@ def spec_of(arr):
 class TestScalingExponent:
     @pytest.mark.parametrize("alpha,p", [(3.0, 2), (0.5, 0), (1024.0, 11), (1.0, 0)])
     def test_values(self, alpha, p):
-        spec = SubgeneratorSpec(u=BlockVector(np.array([[[-alpha]]])),
-                                alpha=alpha, l_norm=0.0)
+        spec = spec_of([[[-alpha]]])
         assert scaling_exponent(spec) == p
 
     def test_scaled_alpha_at_most_one(self):
         for alpha in (1.5, 3.0, 7.9, 100.0):
-            spec = SubgeneratorSpec(u=BlockVector(np.array([[[-alpha]]])),
-                                    alpha=alpha, l_norm=0.0)
+            spec = spec_of([[[-alpha]]])
             p = scaling_exponent(spec)
             assert alpha / 2 ** p <= 1.0
 
@@ -589,8 +586,8 @@ class TestEffectiveLength:
 
     def test_bound_is_below_roundoff_of_the_row(self, long_case):
         spec, ref = long_case
-        n_eff, bound = effective_length(spec)
-        assert n_eff & (n_eff - 1) == 0
+        n_eff, lengths, bound = exp_btt._schedule(spec, 0)
+        assert n_eff & (n_eff - 1) == 0 and lengths == [n_eff]
         # the row sums to 1 (a generator), so the target is mu / 8
         assert 0 < bound <= MU / 8
         assert ref.data[n_eff:].sum() <= bound
@@ -600,11 +597,11 @@ class TestEffectiveLength:
         half = min(ea.row_tail_log_bound(sums, n_eff // 2, t) for t in grid)
         assert half > math.log(MU / 8)
         # the leading blocks of a row have the same n'
-        assert effective_length(spec.leading(2 * n_eff)) == (n_eff, bound)
+        assert exp_btt._schedule(spec.leading(2 * n_eff), 0) == (n_eff, lengths, bound)
 
     def test_erlang_clock_keeps_full_length(self):
         spec = erlang_clock_row(4096, 2)
-        assert effective_length(spec) == (4096, 0.0)
+        assert exp_btt._schedule(spec, 0) == (4096, [4096], 0.0)
         res = exp_btt_eps_averaged(spec, 1e-2, 1)
         assert res.n_eff == 4096
         # the levels below the last run short, so the squarings drop mass;
@@ -613,12 +610,12 @@ class TestEffectiveLength:
 
     def test_dense_row_keeps_full_length(self):
         spec = random_subgenerator(2048, 3, density=0.3, seed=11, alpha_target=50.0)
-        assert effective_length(spec) == (2048, 0.0)
+        assert exp_btt._schedule(spec, 0) == (2048, [2048], 0.0)
 
     def test_block_diagonal_row(self):
         spec = banded_subgenerator(64, 2, 1, seed=4, slack=0.5, alpha_target=3.0)
         assert spec.l_norm == 0.0
-        assert effective_length(spec) == (1, 0.0)
+        assert exp_btt._schedule(spec, 0) == (1, [1], 0.0)
         b0 = expm_small(spec.u.data[0])
         for name in METHOD_NAMES:
             res = run_method(name, spec)
@@ -659,7 +656,7 @@ class TestEffectiveLength:
     def test_taylor_reports_truncation(self):
         spec = banded_subgenerator(512, 2, 3, seed=1, alpha_target=2.0)
         res = exp_btt_taylor(spec, 1e-15)
-        n_eff, bound = effective_length(spec)
+        n_eff, _, bound = exp_btt._schedule(spec, 0)
         assert res.n_eff == n_eff < 512
         assert res.predicted_bounds.keys() == {"truncation", "series"}
         # the bound at n' plus the mass the shorter levels drop
@@ -718,7 +715,7 @@ class TestEffectiveLength:
         spec = draw_row(data)
         p = scaling_exponent(spec)
         n_eff, lengths, truncation = exp_btt._schedule(spec, p)
-        assert (n_eff, lengths[-1]) == (effective_length(spec)[0], exp_btt._next_pow2(n_eff))
+        assert (n_eff, lengths[-1]) == (exp_btt._schedule(spec, 0)[0], exp_btt._next_pow2(n_eff))
         assert len(lengths) == p + 1
         assert all(L & (L - 1) == 0 for L in lengths)
         assert all(a <= b for a, b in zip(lengths, lengths[1:]))
@@ -758,6 +755,60 @@ class TestEffectiveLength:
         res = exp_btt_embedding(spec, K)
         event("n' < n" if res.n_eff < spec.n else "n' = n")
         assert res.predicted_bounds["tail"] <= target
+
+
+def check_derived_specs(spec, k, p):
+    # the row sums, the table and l_norm of the spec and of its leading and
+    # scaled specs equal the oracle's on their own arrays: the sums and G
+    # bit for bit, l_norm to 4 mu (its summation order differs at m = 8)
+    for s in (spec, spec.leading(k), spec.scaled(p), spec.leading(k).scaled(p)):
+        sums = row_sums(s)
+        np.testing.assert_array_equal(s.row_sums, sums)
+        assert s.row_sums.flags.owndata  # a view would keep all n blocks' sums
+        t, g = s.tail_grid
+        assert t.size == 96 and t[-1] == 700.0 / max(sums.shape[0] - 1, 1)
+        np.testing.assert_array_equal(g, ea.row_tail_log_bound(sums, 0, t))
+        assert s.l_norm == pytest.approx(l_norm(s), rel=4 * MU, abs=0)
+
+
+class TestBoundTable:
+    """Validation sums the rows and evaluates the tail bound's coarse table
+    once; the leading and scaled specs derive theirs from it exactly."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_derived_specs_match_fresh_sums(self, data):
+        spec = draw_row(data)
+        k = data.draw(st.integers(1, spec.n), label="k")
+        p = data.draw(st.integers(0, 12), label="p")
+        check_derived_specs(spec, k, p)
+
+    @pytest.mark.parametrize("k,p", [(1, 0), (2, 1), (64, 3)])
+    def test_block_diagonal_row(self, k, p):
+        spec = banded_subgenerator(64, 2, 1, seed=4, slack=0.5, alpha_target=3.0)
+        assert spec.row_sums.shape == (1, 2) and spec.l_norm == 0.0
+        check_derived_specs(spec, k, p)
+
+    @pytest.mark.parametrize("n,m,alpha", [(2 ** 15, 1, 50.0), (2 ** 10, 8, 5.0),
+                                           (2 ** 12, 2, 200.0)])
+    def test_embedding_call_reuses_validation_table(self, monkeypatch, n, m, alpha):
+        # the coarse grid is evaluated once, in validation; K selection, the
+        # schedule and the embedding's tail each refine it at 17 points
+        points = []
+        evaluate = ea.row_tail_log_bound
+
+        def counting(sums, L, log_sigma):
+            points.append(np.size(log_sigma))
+            return evaluate(sums, L, log_sigma)
+
+        monkeypatch.setattr(ea, "row_tail_log_bound", counting)
+        spec = banded_subgenerator(n, m, 4, seed=1, alpha_target=alpha)
+        assert points == [96]
+        points.clear()
+        p = scaling_exponent(spec)
+        exp_btt_embedding(spec, select_embedding_K(spec.scaled(p), 1e-12))
+        assert points == [17, 17, 17]
 
 
 class TestErlangClockOracle:

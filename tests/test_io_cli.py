@@ -161,10 +161,10 @@ class TestCli:
         assert "# K=16" in out
 
     def test_expm_writes_effective_length(self, tmp_path, capsys):
-        from btt_expm.exp_btt import effective_length, exp_btt_taylor
+        from btt_expm.exp_btt import _schedule, exp_btt_taylor
         from btt_expm.model_gen import banded_subgenerator
         spec = banded_subgenerator(512, 2, 3, seed=1, alpha_target=2.0)
-        n_eff, _ = effective_length(spec)
+        n_eff = _schedule(spec, 0)[0]
         assert n_eff < 512
         # every method shares the length schedule, and so its truncation
         bound = exp_btt_taylor(spec, 1e-15).predicted_bounds["truncation"]
