@@ -17,8 +17,8 @@ from .dense_expm import expm_dense_oracle
 from .errors import NumericalError, ParseError, ValidationError
 from .exp_btt import (ExpResult, MethodConfig, compute_exponential,
                       exp_btt_embedding, exp_btt_eps, exp_btt_eps_averaged,
-                      exp_btt_taylor, repeated_squaring, scaling_exponent,
-                      select_embedding_K, select_epsilon)
+                      exp_btt_taylor, scaling_exponent, select_embedding_K,
+                      select_epsilon)
 from .io import read_block_vector, write_block_vector
 from .model_gen import banded_subgenerator, random_subgenerator
 
@@ -39,7 +39,6 @@ __all__ = [
     "exp_btt_taylor",
     "compute_exponential",
     "scaling_exponent",
-    "repeated_squaring",
     "select_epsilon",
     "select_embedding_K",
     "random_subgenerator",

@@ -11,10 +11,11 @@ Subcommands::
     sweep-K        error metrics of the embedding method over a list of
                    embedding sizes, as CSV
 
-Exit codes: 0 success, 2 parse error (bad file or flag), 3 validation
-failure, 4 numerical failure.  Error references for sweeps are the dense
-oracle when n*m fits under --oracle-cap, else the embedding at 8x the padded
-length (flagged in the CSV header comment).
+Exit codes: 0 success, 2 parse error (bad file or flag, a method parameter
+out of range included), 3 validation failure, 4 numerical failure.  Error
+references for sweeps are the dense oracle when n*m fits under --oracle-cap,
+else the embedding at 8x the padded length (flagged in the CSV header
+comment).
 """
 
 from __future__ import annotations
@@ -116,11 +117,9 @@ def _build_config(args, spec: SubgeneratorSpec) -> MethodConfig:
     if method == "embedding":
         K = args.K if args.K is not None else select_embedding_K(scaled, 1e-12)
         return MethodConfig("embedding", K=K, use_scaling=use_scaling)
-    if method == "taylor":
-        if not use_scaling:
-            raise ParseError("--method taylor always scales; it does not take --no-scaling")
-        return MethodConfig("taylor", taylor_tol=args.tol, max_terms=args.max_terms)
-    raise ParseError(f"unknown method {args.method!r}")
+    # argparse admits only the four methods, so this is taylor
+    return MethodConfig("taylor", taylor_tol=args.tol, max_terms=args.max_terms,
+                        use_scaling=use_scaling)
 
 
 def cmd_expm(args) -> int:
@@ -292,12 +291,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:  # a ParseError or a method's parameter check
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 4

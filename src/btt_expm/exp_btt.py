@@ -17,7 +17,9 @@ Every route runs one pipeline: validate -> scale -> length schedule -> pad
 -> core -> squarings -> zero-filled tail.  A route validates its parameters
 and supplies its core; ``_run`` does every other stage, once for all four,
 and is the one place that decides n', the scaling, the lengths and the
-padding (the embedding's core pads on from L_0 to its circulant length).
+padding.  Past that, the kernels take (N, m, m) arrays and leave any
+further zero-padding to their transforms: the circulant's, from L_0 to its
+length, and each squaring's, from the row to L_j.
 
 * scale: the input is divided by 2**p so the decay rate is at most 1.
 * length schedule: the leading n' blocks of exp(T_n) are exp(T_n') exactly,
@@ -30,8 +32,8 @@ padding (the embedding's core pads on from L_0 to its circulant length).
 * pad: the leading L_0 blocks are zero-padded to L_0 (the padded
   exponential contains the original one as its leading principal part).
 * core: the route's own computation on the scaled, padded row, at L_0.
-* squarings: squaring j zero-pads the row to L_j blocks and squares it at
-  transform length 2 L_j.  ``"truncation"`` bounds the mass that n' and the
+* squarings: squaring j squares the row at transform length 2 L_j and
+  keeps L_j blocks.  ``"truncation"`` bounds the mass that n' and the
   shorter levels drop.
 * tail: the leading n' blocks are returned in a row of n blocks whose
   remaining blocks are zero and, for large rows, never written.
@@ -50,7 +52,7 @@ from . import error_analysis as ea
 from . import structured_mul
 from .block_linalg import BlockVector, SubgeneratorSpec
 from .errors import NumericalError
-from .exp_circulant import _exp_eps_circulant, exp_circulant
+from .exp_circulant import exp_circulant
 from .structured_mul import btt_times_btt
 
 __all__ = [
@@ -110,7 +112,8 @@ class MethodConfig:
         if self.k is not None and self.k < 1:
             raise ValueError("k must be a positive integer")
         if self.method == "taylor" and not self.use_scaling:
-            raise ValueError("method 'taylor' always scales: use_scaling must be True")
+            raise ValueError("method 'taylor' always scales: it takes neither "
+                             "use_scaling=False nor --no-scaling")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -137,30 +140,20 @@ def scaling_exponent(spec: SubgeneratorSpec) -> int:
     return int(math.floor(math.log2(spec.alpha))) + 1
 
 
-def repeated_squaring(y: BlockVector, p: int,
-                      lengths: list[int] | None = None) -> BlockVector:
-    """Square the triangular block-Toeplitz matrix p times (first-row form).
-    With ``lengths``, squaring j first zero-pads the row to ``lengths[j]``
-    blocks, none below its length, and keeps that many of the square."""
+def repeated_squaring(y: np.ndarray, p: int,
+                      lengths: list[int] | None = None) -> np.ndarray:
+    """Square the triangular block-Toeplitz matrix p times (first-row form,
+    an (n, m, m) stack).  With ``lengths``, squaring j keeps ``lengths[j]``
+    blocks of the square, none below the row's length."""
     if p < 0:
         raise ValueError("p must be nonnegative")
     for j in range(p):
-        if lengths is not None and lengths[j] != y.n:
-            y = BlockVector._wrap(_pad(y.data, lengths[j]))
-        y = btt_times_btt(y, y)
+        y = btt_times_btt(y, y, None if lengths is None else lengths[j])
     return y
 
 
 def _next_pow2(n: int) -> int:
     return 1 if n <= 1 else 1 << (n - 1).bit_length()
-
-
-def _pad(arr: np.ndarray, length: int) -> np.ndarray:
-    if arr.shape[0] == length:
-        return arr.copy()
-    out = np.zeros((length,) + arr.shape[1:], dtype=arr.dtype)
-    out[: arr.shape[0]] = arr
-    return out
 
 
 def _zero_row(n: int, m: int) -> np.ndarray:
@@ -177,11 +170,11 @@ def _finish(y: np.ndarray, lengths: list[int], n_eff: int, n: int) -> BlockVecto
     # square at the schedule's lengths, ending at pad(n_eff), then keep the
     # leading n_eff blocks, which never involve the padding blocks of a
     # triangular product; blocks n_eff .. n - 1 of the returned row are zero
-    out = repeated_squaring(BlockVector._wrap(y), len(lengths), lengths)
-    if out.n == n:
-        return out
-    row = _zero_row(n, out.m)
-    row[:n_eff] = out.data[:n_eff]
+    out = repeated_squaring(y, len(lengths), lengths)
+    if out.shape[0] == n:
+        return BlockVector._wrap(out)
+    row = _zero_row(n, out.shape[1])
+    row[:n_eff] = out[:n_eff]
     return BlockVector._wrap(row)
 
 
@@ -195,7 +188,9 @@ def _run(spec: SubgeneratorSpec, config: MethodConfig, core) -> ExpResult:
     p = scaling_exponent(spec) if config.use_scaling else 0
     n_eff, lengths, truncation = _schedule(spec, p)
     sspec = spec.leading(n_eff).scaled(p)
-    row, bounds = core(sspec, _pad(sspec.u.data[:lengths[0]], lengths[0]))
+    padded = np.zeros((lengths[0],) + sspec.u.data.shape[1:])
+    padded[:sspec.n] = sspec.u.data[:lengths[0]]
+    row, bounds = core(sspec, padded)
     bounds["truncation"] = truncation
     return ExpResult(y=_finish(row, lengths[1:], n_eff, spec.n), method_used=config,
                      scaling_p=p, n_eff=n_eff, predicted_bounds=bounds)
@@ -218,7 +213,7 @@ def _eps_core(k: int, log_eps: complex, approx_name: str, bound_eps: complex):
 
     def core(sspec, padded):
         size = min(2 * padded.shape[0], _next_pow2(sspec.n))
-        row = _exp_eps_circulant(padded, k * size, log_eps).real.copy()
+        row = exp_circulant(padded, k * size, log_eps).real.copy()
         phi = ea.phi_bound(_next_pow2(sspec.n), sspec.m,
                            float(np.abs(sspec.u.data).max()), 1.0)
         bounds = {approx_name: ea.eps_approx_bound(sspec.l_norm, bound_eps),
@@ -286,14 +281,15 @@ def exp_btt_embedding(spec: SubgeneratorSpec, K: int,
     def core(sspec, padded):
         L0, pad_n = padded.shape[0], _next_pow2(spec.n)
         head = sspec.leading(min(L0, sspec.n))
-        s = exp_circulant(BlockVector._wrap(_pad(padded, K * L0 // pad_n)))
-        # the K-block embedding adds only zero blocks, so the unpadded row
-        # has the same max entry without another K-block temporary
+        # the transform zero-pads the L_0 blocks to the circulant's length
+        row = exp_circulant(padded, K * L0 // pad_n)
+        row[head.n:] = 0.0
+        # the circulant's row is the scaled row zero-padded: same max entry
         chi = ea.chi_bound(K * _next_pow2(sspec.n) // pad_n, sspec.m,
                            float(np.abs(sspec.u.data).max()), 1.0)
         bounds = {"tail": embedding_tail_bound(head, K * L0 // pad_n),
                   "roundoff": ea.circulant_roundoff_bound(chi, sspec.m)}
-        return _pad(s.data[:head.n], L0), bounds
+        return row, bounds
 
     config = MethodConfig("embedding", K=K, use_scaling=use_scaling)
     return _run(spec, config, core)
@@ -329,14 +325,13 @@ def exp_btt_taylor(spec: SubgeneratorSpec, tol: float, max_terms: int = 200) -> 
                 f"Taylor series needs more than {max_terms} terms for tol={tol!r}")
         eye = np.eye(sspec.m)
         v[0] += alpha * eye
-        vb = BlockVector._wrap(v)
         # the fixed operand is transformed once, as btt_times_btt would
-        v_hat = structured_mul._transform_stack(v, 2 * vb.n, real=True)
-        w = vb.data
+        v_hat = structured_mul._transform_stack(v, 2 * v.shape[0], real=True)
+        w = v
         y = v.copy()
         y[0] += eye
         for r in range(2, d + 1):
-            w = btt_times_btt(vb, BlockVector._wrap(w / r), u_hat=v_hat).data
+            w = btt_times_btt(v, w / r, u_hat=v_hat)
             y += w
         return y * math.exp(-alpha), {"series": math.exp(-alpha) * dropped}
 

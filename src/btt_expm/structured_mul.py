@@ -1,8 +1,9 @@
 """The package's one structured product: two upper-triangular block-Toeplitz
 matrices multiply to the one whose first block-row is the causal block
-convolution c_k = sum_{j<=k} u_j @ x_{k-j} of theirs.  It is computed as an
-elementwise product of block transforms at length 2n, where no wrap-around
-can reach the first n blocks, keeping n blocks.
+convolution c_k = sum_{j<=k} u_j @ x_{k-j} of theirs.  The first n blocks
+are computed as an elementwise product of block transforms at length 2n,
+where no wrap-around can reach them.  Operands shorter than n are rows
+whose later blocks are zero: the transforms zero-pad them.
 
 Real operands take the real transforms and give a real result by
 construction; complex operands take the complex ones.  The frequency stacks
@@ -16,25 +17,31 @@ inverse transform.
 
 from __future__ import annotations
 
-from .block_linalg import BlockVector
+import numpy as np
+
 from .dense_expm import _stack_matmul
 from .fft_transforms import _transform_stack
 
 __all__ = ["btt_times_btt"]
 
 
-def btt_times_btt(u: BlockVector, x: BlockVector, *, u_hat=None) -> BlockVector:
-    """First block-row of the product of two upper-triangular block-Toeplitz
-    matrices given by their first block-rows.
+def btt_times_btt(u: np.ndarray, x: np.ndarray, n: int | None = None, *,
+                  u_hat=None) -> np.ndarray:
+    """The first n blocks (default ``len(u)``) of the first block-row of the
+    product of two upper-triangular block-Toeplitz matrices given by the
+    (N, m, m) stacks of their first block-rows, each of at most n blocks.
 
-    ``u_hat``, when given, must be ``_transform_stack(u.data, 2 * u.n,
-    real=True)`` for real operands (``real=False`` otherwise)."""
-    if u.n != x.n or u.m != x.m:
-        raise ValueError(
-            f"operand shapes differ: (n={u.n}, m={u.m}) vs (n={x.n}, m={x.m})")
-    n2, real = 2 * u.n, u.is_real and x.is_real
+    ``u_hat``, when given, must be ``_transform_stack(u, 2 * n, real=True)``
+    for real operands (``real=False`` otherwise)."""
+    n = u.shape[0] if n is None else n
+    # an operand longer than n would wrap its blocks from n on into the
+    # leading ones at transform length 2n
+    if u.shape[1:] != x.shape[1:] or max(u.shape[0], x.shape[0]) > n:
+        raise ValueError(f"operands of shapes {u.shape} and {x.shape} "
+                         f"do not fit a product of {n} blocks")
+    real = not (np.iscomplexobj(u) or np.iscomplexobj(x))
     if u_hat is None:
-        u_hat = _transform_stack(u.data, n2, real=real)
-    x_hat = u_hat if x is u else _transform_stack(x.data, n2, real=real)
+        u_hat = _transform_stack(u, 2 * n, real=real)
+    x_hat = u_hat if x is u else _transform_stack(x, 2 * n, real=real)
     w = _stack_matmul(u_hat, x_hat)
-    return BlockVector._wrap(_transform_stack(w, n2, inverse=True, real=real)[: u.n].copy())
+    return _transform_stack(w, 2 * n, inverse=True, real=real)[:n].copy()

@@ -15,7 +15,7 @@ import numpy as np
 
 from btt_expm.block_linalg import BlockVector, validate_subgenerator
 from btt_expm.dense_expm import _expm_stack
-from btt_expm.exp_circulant import exp_eps_circulant
+from btt_expm.exp_circulant import exp_circulant
 
 
 def direct_idft(x):
@@ -134,12 +134,25 @@ def erlang_clock_exact(n, m):
     return w[:, None, None] * eq
 
 
+def exp_eps_circulant(u, epsilon):
+    """First block-row of the exponential of the block-eps-circulant matrix
+    with first block-row ``u`` (an (n, m, m) array), for any nonzero
+    ``epsilon``: the package's kernel at log(epsilon) on the principal
+    branch.  ``u`` is taken as complex, so epsilon = 1 takes the scaled
+    complex path too and the result is always complex."""
+    epsilon = complex(epsilon)
+    if epsilon == 0:
+        raise ValueError("epsilon must be nonzero")
+    log_eps = complex(math.log(abs(epsilon)), math.atan2(epsilon.imag, epsilon.real))
+    return exp_circulant(np.asarray(u, dtype=complex), len(u), log_eps)
+
+
 def eps_average_rows(u, theta, k):
     """The mean of the real parts of ``exp_eps_circulant(u, eps_j)`` over
     the k rotated values eps_j = i**(1/k) * w_k**j * theta: the eps-averaged
     core as k separate circulants."""
     root_i = cmath.exp(1j * math.pi / (2 * k))  # principal k-th root of i
-    rows = [exp_eps_circulant(u, root_i * cmath.exp(2j * math.pi * j / k) * theta).data.real
+    rows = [exp_eps_circulant(u, root_i * cmath.exp(2j * math.pi * j / k) * theta).real
             for j in range(k)]
     return sum(rows) / k
 

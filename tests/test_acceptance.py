@@ -291,11 +291,11 @@ def test_fft_and_product_micro_suite():
     worst_prod = 0.0
     for n in (1, 2, 4, 8, 16, 32, 3, 6, 12):
         for m in (1, 2, 3):
-            u = BlockVector(rng.standard_normal((n, m, m)))
-            x = BlockVector(rng.standard_normal((n, m, m)))
-            scale = max(1.0, n * float(np.abs(u.data).max() * np.abs(x.data).max()))
-            tri = btt_times_btt(u, x).data
-            ref = first_block_row(dense_btt(u.data) @ dense_btt(x.data), n, m)
+            u = rng.standard_normal((n, m, m))
+            x = rng.standard_normal((n, m, m))
+            scale = max(1.0, n * float(np.abs(u).max() * np.abs(x).max()))
+            tri = btt_times_btt(u, x)
+            ref = first_block_row(dense_btt(u) @ dense_btt(x), n, m)
             worst_prod = max(worst_prod, float(np.abs(tri - ref).max() / scale))
     _report("triangular product vs dense assembly, n <= 32 (any length), m <= 3",
             worst_prod, 1e-12)

@@ -47,35 +47,35 @@ class TestScalingExponent:
 
 class TestRepeatedSquaring:
     def test_zero_squarings(self):
-        v = BlockVector(np.random.default_rng(0).standard_normal((4, 2, 2)))
-        np.testing.assert_array_equal(repeated_squaring(v, 0).data, v.data)
+        v = np.random.default_rng(0).standard_normal((4, 2, 2))
+        np.testing.assert_array_equal(repeated_squaring(v, 0), v)
 
     def test_hand_square(self):
-        y = BlockVector(np.array([[[2.0]], [[3.0]]]))
+        y = np.array([[[2.0]], [[3.0]]])
         out = repeated_squaring(y, 1)
-        np.testing.assert_allclose(out.data.ravel(), [4.0, 12.0], atol=1e-13)
+        np.testing.assert_allclose(out.ravel(), [4.0, 12.0], atol=1e-13)
 
     def test_squaring_half_exponent(self):
         spec = random_subgenerator(4, 2, seed=1, alpha_target=0.8)
         half = expm_dense_oracle(spec.scaled(1))
         full = expm_dense_oracle(spec)
-        squared = repeated_squaring(half, 1)
-        assert np.abs(squared.data - full.data).max() <= 1e-12
+        squared = repeated_squaring(half.data, 1)
+        assert np.abs(squared - full.data).max() <= 1e-12
 
     def test_hand_square_at_growing_lengths(self):
         # (2 + 3z)**2 = 4 + 12z + 9z**2, then squared again and kept to 4
         # terms: 16 + 96z + 216z**2 + 216z**3
-        y = BlockVector(np.array([[[2.0]], [[3.0]]]))
+        y = np.array([[[2.0]], [[3.0]]])
         out = repeated_squaring(y, 2, [4, 4])
-        np.testing.assert_allclose(out.data.ravel(), [16.0, 96.0, 216.0, 216.0])
+        np.testing.assert_allclose(out.ravel(), [16.0, 96.0, 216.0, 216.0])
         # kept to 2 terms first, the z**2 term is dropped before the second
         # square, which changes only the blocks from 2 on
         out = repeated_squaring(y, 2, [2, 4])
-        np.testing.assert_allclose(out.data.ravel(), [16.0, 96.0, 144.0, 0.0])
+        np.testing.assert_allclose(out.ravel(), [16.0, 96.0, 144.0, 0.0])
 
     def test_negative_p_rejected(self):
         with pytest.raises(ValueError):
-            repeated_squaring(BlockVector(np.ones((2, 1, 1))), -1)
+            repeated_squaring(np.ones((2, 1, 1)), -1)
 
 
 class TestEpsMethod:
@@ -147,7 +147,7 @@ class TestAveragedMethod:
         size = min(2 * n, exp_btt._next_pow2(n))
         padded = np.zeros((size, m, m))
         padded[:n] = sspec.u.data
-        ref = eps_average_rows(BlockVector(padded), theta, k)[:n]
+        ref = eps_average_rows(padded, theta, k)[:n]
         diff = block_row_inf_norm(BlockVector(row - ref))
         assert diff <= 1e-13 * block_row_inf_norm(BlockVector(ref))
 
@@ -298,13 +298,12 @@ class TestTaylorMethod:
         spec = random_subgenerator(4, 2, seed=8, alpha_target=0.8)
         shifted = spec.u.data.copy()
         shifted[0] += spec.alpha * np.eye(spec.m)
-        v = BlockVector(shifted)
-        w = BlockVector(shifted.copy())
+        w = shifted
         y = shifted.copy()
         y[0] += np.eye(spec.m)
         for r in range(2, 12):
-            w = btt_times_btt(v, BlockVector(w.data / r))
-            y = y + w.data
+            w = btt_times_btt(shifted, w / r)
+            y = y + w
             assert y.min() >= -1e-12
 
     def test_scaling_from_whole_row(self):
@@ -338,9 +337,9 @@ class TestTaylorMethod:
         calls = []
         transforms = []
 
-        def counting(a, b, **kwargs):
+        def counting(*args, **kwargs):
             calls.append(1)
-            return btt_times_btt(a, b, **kwargs)
+            return btt_times_btt(*args, **kwargs)
 
         def counting_transform(*args, **kwargs):
             transforms.append(1)
@@ -627,9 +626,9 @@ class TestEffectiveLength:
         spec = banded_subgenerator(1000, 2, 4, seed=2, alpha_target=5.0)
         lengths = []
 
-        def recording(u):
-            lengths.append(u.n)
-            return exp_circulant(u)
+        def recording(data, n, log_eps=0):
+            lengths.append(n)
+            return exp_circulant(data, n, log_eps)
 
         monkeypatch.setattr(exp_btt, "exp_circulant", recording)
         res = exp_btt_embedding(spec, 3000)
@@ -849,3 +848,20 @@ class TestStructuralInvariants:
             assert np.abs(y[0] - b0).sum(axis=1).max() <= 1e-10, name
             again = compute_exponential(spec, res.method_used)
             np.testing.assert_array_equal(again.y.data, y)
+
+
+class TestOneCirculant:
+    # every circulant method makes exactly one call of the one circulant
+    # kernel, through the name exp_btt calls it by; Taylor makes none
+    @pytest.mark.parametrize("name", METHOD_NAMES)
+    def test_one_kernel_call_per_method_call(self, name, monkeypatch):
+        spec = banded_subgenerator(1000, 2, 4, seed=2, alpha_target=5.0)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return exp_circulant(*args, **kwargs)
+
+        monkeypatch.setattr(exp_btt, "exp_circulant", counting)
+        run_method(name, spec)
+        assert len(calls) == (0 if name == "taylor" else 1)

@@ -215,6 +215,22 @@ class TestCli:
         assert main(["expm", path, "--method", "taylor", "--no-scaling"]) == 2
         assert "--no-scaling" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ["--method", "eps-averaged", "--k", "0"],
+        ["--method", "eps-circulant", "--epsilon", "2i"],
+        ["--method", "eps-circulant", "--epsilon", "0"],
+        ["--method", "embedding", "--K", "3"],
+        ["--method", "taylor", "--tol", "0"],
+        ["--method", "taylor", "--max-terms", "1"],
+    ])
+    def test_bad_method_parameter_exits_2(self, tmp_path, capsys, flags):
+        # the methods' own parameter checks, reported as a bad flag
+        path = str(tmp_path / "inst.btt")
+        write_block_vector(path, random_subgenerator(16, 2, seed=3).u)
+        assert main(["expm", path, *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_bad_flags_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["expm", "x.btt", "--method", "splines"])
