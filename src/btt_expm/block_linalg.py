@@ -92,7 +92,8 @@ class SubgeneratorSpec:
     ``alpha`` (largest diagonal decay rate), ``row_sums`` (the (b + 1, m)
     array of U_j 1 for j = 0..b, b the last nonzero block, 0 for a
     block-diagonal row) and ``tail_grid`` (``error_analysis.tail_grid`` of
-    them: the coarse table of the tail bound).
+    them: the table of the tail bound, the only evaluation of it that the
+    selectors and methods read).
     """
 
     u: BlockVector

@@ -11,11 +11,11 @@ Subcommands::
     sweep-K        error metrics of the embedding method over a list of
                    embedding sizes, as CSV
 
-Exit codes: 0 success, 2 parse error (bad file or flag, a method parameter
-out of range included), 3 validation failure, 4 numerical failure.  Error
-references for sweeps are the dense oracle when n*m fits under --oracle-cap,
-else the embedding at 8x the padded length (flagged in the CSV header
-comment).
+Exit codes: 0 success, 2 parse error (a file that cannot be read or
+written, a bad flag, a method parameter out of range), 3 validation
+failure, 4 numerical failure.  Error references for sweeps are the dense
+oracle when n*m fits under --oracle-cap, else the embedding at 8x the
+padded length (flagged in the CSV header comment).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .errors import NumericalError, ParseError, ValidationError
 from .exp_btt import (MethodConfig, _next_pow2, compute_exponential,
                       exp_btt_embedding, exp_btt_eps_averaged, scaling_exponent,
                       select_embedding_K, select_epsilon)
-from .io import format_block_vector, read_block_vector, write_block_vector
+from .io import format_block_vector, read_block_vector
 from .model_gen import random_subgenerator
 
 __all__ = ["main"]
@@ -95,9 +95,12 @@ def _reference(spec: SubgeneratorSpec, oracle_cap: int):
 def _write_text(out: str | None, text: str) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {out}: {exc}") from exc
 
 
 def _build_config(args, spec: SubgeneratorSpec) -> MethodConfig:
@@ -214,10 +217,7 @@ def cmd_gen(args) -> int:
                                alpha_target=args.alpha_target,
                                bandwidth=args.bandwidth)
     comments = [f"generated seed={args.seed} density={args.density} slack={args.slack}"]
-    if args.out is None or args.out == "-":
-        _write_text(args.out, format_block_vector(spec.u, comments))
-    else:
-        write_block_vector(args.out, spec.u, comments)
+    _write_text(args.out, format_block_vector(spec.u, comments))
     return 0
 
 

@@ -41,6 +41,7 @@ length, and each squaring's, from the row to L_j.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import itertools
 import math
@@ -233,8 +234,8 @@ def exp_btt_eps(spec: SubgeneratorSpec, epsilon: complex, use_scaling: bool = Tr
     what makes the approximation error quadratic in |epsilon|.
     """
     epsilon = complex(epsilon)
-    if epsilon == 0:
-        raise ValueError("epsilon must be nonzero")
+    if not cmath.isfinite(epsilon) or epsilon == 0:
+        raise ValueError(f"epsilon must be finite and nonzero, got {epsilon!r}")
     if not allow_large_eps and abs(epsilon) >= 1:
         raise ValueError(f"|epsilon| = {abs(epsilon)!r} must be below 1")
 
@@ -251,8 +252,8 @@ def exp_btt_eps_averaged(spec: SubgeneratorSpec, theta_mag: float, k: int,
     """
     if k < 1 or int(k) != k:
         raise ValueError("k must be a positive integer")
-    if not theta_mag > 0:
-        raise ValueError("theta_mag must be positive")
+    if not 0 < theta_mag < math.inf:
+        raise ValueError(f"theta_mag must be positive and finite, got {theta_mag!r}")
     if not allow_large_eps and not theta_mag < 1:
         raise ValueError(f"theta_mag = {theta_mag!r} must be below 1")
     k = int(k)
@@ -348,15 +349,16 @@ def select_epsilon(spec: SubgeneratorSpec, imaginary: bool = True) -> complex:
     m, l_norm = spec.m, spec.l_norm
     if l_norm == 0:
         # block-diagonal case: any eps is exact, pick a tiny default
-        return 1j * _MU ** (1.0 / 3.0)
-    phi = ea.phi_bound(_next_pow2(spec.n), m, float(np.abs(spec.u.data).max()), 1.0)
-    if imaginary:
-        mag = (m * _MU * phi / l_norm ** 2) ** (1.0 / 3.0)
+        mag = _MU ** (1.0 / 3.0)
     else:
-        mag = (m * _MU * phi / l_norm) ** 0.5
-    # tiny l_norm can push the balance past 1; anything near 1 already makes
-    # the approximation error negligible, so clamp into the valid range
-    mag = min(mag, 0.9)
+        phi = ea.phi_bound(_next_pow2(spec.n), m, float(np.abs(spec.u.data).max()), 1.0)
+        if imaginary:
+            mag = (m * _MU * phi / l_norm ** 2) ** (1.0 / 3.0)
+        else:
+            mag = (m * _MU * phi / l_norm) ** 0.5
+        # tiny l_norm can push the balance past 1; anything near 1 already
+        # makes the approximation error negligible, so clamp into the range
+        mag = min(mag, 0.9)
     return 1j * mag if imaginary else complex(mag)
 
 
@@ -375,14 +377,10 @@ def _schedule(spec: SubgeneratorSpec, p: int) -> tuple[int, list[int], float]:
         return 1, [1] * (p + 1), 0.0  # block-diagonal: every later block is zero
     scale = 2.0 ** np.arange(-p, 1)[:, None]
     log_target = math.log(_MU / 8.0) + float(row_sums.sum(axis=0).min()) + np.log(scale)
-
-    def least_length(t, g):
-        return (scale * g - log_target) / t
-
-    # refined at level p, which fixes n'; the other levels' lengths are
-    # rounded up to a power of two, which the coarse grid rarely changes
-    t, g = ea.refine_tail_grid(spec, lambda t, g: least_length(t, g)[-1])
-    needs = least_length(t, g).min(axis=1)
+    # the table is fine enough for every level's minimum, level p's (which
+    # fixes n') included, so no level evaluates points of its own
+    t, g = spec.tail_grid
+    needs = ((scale * g - log_target) / t).min(axis=1)
     n_eff = min(_next_pow2(math.ceil(needs[-1])), n) if needs[-1] < n else n
     top = _next_pow2(n_eff)
     lengths = list(itertools.accumulate(
@@ -399,14 +397,14 @@ def _schedule(spec: SubgeneratorSpec, p: int) -> tuple[int, list[int], float]:
 def embedding_tail_bound(spec: SubgeneratorSpec, K: int) -> float:
     """Bound on the error of the K-circulant embedding on the leading blocks:
     the row's mass beyond block K, ``row_tail_log_bound`` minimized over
-    log sigma on a grid.  0.0 for a block-diagonal row, where the embedding
-    is exact.  Pass the instance the circulant is built from (scaled,
-    leading L_0 blocks)."""
+    the log sigma of the spec's ``tail_grid``.  0.0 for a block-diagonal
+    row, where the embedding is exact.  Pass the instance the circulant is
+    built from (scaled, leading L_0 blocks)."""
     if K < spec.n:
         raise ValueError(f"K = {K} must be at least n = {spec.n}")
     if spec.row_sums.shape[0] == 1:
         return 0.0
-    t, g = ea.refine_tail_grid(spec, lambda t, g: g - K * t)
+    t, g = spec.tail_grid
     return math.exp(float((g - K * t).min()))
 
 
@@ -414,16 +412,17 @@ def select_embedding_K(spec: SubgeneratorSpec, target_error: float) -> int:
     """Smallest power-of-two embedding length, at least n, at which the tail
     bound of ``embedding_tail_bound`` is at most ``target_error``: the least
     length, min over log sigma of (bound at L = 0 - log target) / log sigma
-    on a grid, rounded up.  Pass the scaled instance.  The embedding reports
-    its tail at K L_0 / pad(n) on the scaled leading L_0 blocks, which meets
-    any target of at least mu/8 too: when L_0 = pad(n) it is the bound at K,
-    and otherwise the scaled row's bound at L_0 is at most mu/8."""
+    on the spec's ``tail_grid``, rounded up.  Pass the scaled instance.  The
+    embedding reports its tail at K L_0 / pad(n) on the scaled leading L_0
+    blocks, which meets any target of at least mu/8 too: when L_0 = pad(n)
+    it is the bound at K, and otherwise the scaled row's bound at L_0 is at
+    most mu/8."""
     if not target_error > 0:
         raise ValueError("target_error must be positive")
     if spec.row_sums.shape[0] == 1:
         return _next_pow2(spec.n)
     log_target = math.log(target_error)
-    t, g = ea.refine_tail_grid(spec, lambda t, g: (g - log_target) / t)
+    t, g = spec.tail_grid
     return _next_pow2(max(math.ceil(float(((g - log_target) / t).min())), spec.n))
 
 

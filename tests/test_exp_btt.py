@@ -123,6 +123,19 @@ class TestEpsMethod:
             exp_btt_eps(spec, 1.0)
         exp_btt_eps(spec, 1.5, allow_large_eps=True)
 
+    @pytest.mark.parametrize("call", [
+        lambda s: exp_btt_eps(s, math.nan),
+        lambda s: exp_btt_eps(s, complex(0.0, math.nan)),
+        lambda s: exp_btt_eps(s, complex(math.nan, 1e-3)),
+        lambda s: exp_btt_eps(s, math.inf, allow_large_eps=True),
+        lambda s: exp_btt_eps(s, complex(0.0, -math.inf), allow_large_eps=True),
+        lambda s: exp_btt_eps_averaged(s, math.inf, 2, allow_large_eps=True),
+    ], ids=["nan", "nan_imag", "nan_real", "inf", "inf_imag", "averaged_inf"])
+    def test_non_finite_parameter_rejected(self, call):
+        # a NaN or infinite eps or theta gave a NaN row and NaN bounds
+        with pytest.raises(ValueError, match="finite"):
+            call(random_subgenerator(4, 2, seed=3))
+
 
 class TestAveragedMethod:
     def test_k_one_reduces_to_imaginary_eps(self):
@@ -392,6 +405,12 @@ class TestSelectEpsilon:
     def test_degenerate_block_diagonal(self):
         spec = spec_of([[[-1.0]]])
         assert select_epsilon(spec) == 1j * MU ** (1.0 / 3.0)
+
+    def test_degenerate_block_diagonal_real(self):
+        # the block-diagonal default honours imaginary=False too
+        spec = spec_of([[[-1.0]], [[0.0]]])
+        eps = select_epsilon(spec, imaginary=False)
+        assert eps.imag == 0 and eps.real == MU ** (1.0 / 3.0)
 
     def test_clamped_into_valid_range(self):
         arr = np.zeros((2, 1, 1))
@@ -765,14 +784,15 @@ def check_derived_specs(spec, k, p):
         np.testing.assert_array_equal(s.row_sums, sums)
         assert s.row_sums.flags.owndata  # a view would keep all n blocks' sums
         t, g = s.tail_grid
-        assert t.size == 96 and t[-1] == 700.0 / max(sums.shape[0] - 1, 1)
+        assert t.size == 571 and t[-1] == 700.0 / max(sums.shape[0] - 1, 1)
         np.testing.assert_array_equal(g, ea.row_tail_log_bound(sums, 0, t))
         assert s.l_norm == pytest.approx(l_norm(s), rel=4 * MU, abs=0)
 
 
 class TestBoundTable:
-    """Validation sums the rows and evaluates the tail bound's coarse table
-    once; the leading and scaled specs derive theirs from it exactly."""
+    """Validation sums the rows and evaluates the tail bound's table once;
+    the leading and scaled specs derive theirs from it exactly, and no
+    selector or method call evaluates the bound again."""
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -792,8 +812,8 @@ class TestBoundTable:
     @pytest.mark.parametrize("n,m,alpha", [(2 ** 15, 1, 50.0), (2 ** 10, 8, 5.0),
                                            (2 ** 12, 2, 200.0)])
     def test_embedding_call_reuses_validation_table(self, monkeypatch, n, m, alpha):
-        # the coarse grid is evaluated once, in validation; K selection, the
-        # schedule and the embedding's tail each refine it at 17 points
+        # the bound is evaluated once, in validation, on the 571-point table;
+        # both selectors and every method's schedule and bounds only read it
         points = []
         evaluate = ea.row_tail_log_bound
 
@@ -803,11 +823,11 @@ class TestBoundTable:
 
         monkeypatch.setattr(ea, "row_tail_log_bound", counting)
         spec = banded_subgenerator(n, m, 4, seed=1, alpha_target=alpha)
-        assert points == [96]
+        assert points == [571]
         points.clear()
-        p = scaling_exponent(spec)
-        exp_btt_embedding(spec, select_embedding_K(spec.scaled(p), 1e-12))
-        assert points == [17, 17, 17]
+        for name in METHOD_NAMES:  # select_epsilon and select_embedding_K too
+            run_method(name, spec)
+        assert points == []
 
 
 class TestErlangClockOracle:

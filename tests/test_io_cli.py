@@ -231,6 +231,30 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["expm", "--method", "eps-circulant", "--epsilon", "nan"],
+        ["expm", "--method", "eps-circulant", "--epsilon", "nani"],
+        ["sweep-epsilon", "--thetas", "1e-2,inf"],
+    ])
+    def test_non_finite_parameter_exits_2(self, instance_file, capsys, argv):
+        # these wrote a NaN row or NaN errors and exited 0
+        assert main([argv[0], instance_file, *argv[1:], "--out", "-"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "finite" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["expm", "{inst}", "--method", "taylor"],
+        ["gen", "--n", "4", "--m", "2"],
+        ["sweep-epsilon", "{inst}", "--thetas", "1e-2"],
+        ["sweep-K", "{inst}", "--K-list", "16"],
+    ])
+    def test_unwritable_out_exits_2(self, instance_file, tmp_path, capsys, argv):
+        out = str(tmp_path / "missing" / "out.txt")
+        argv = [a.replace("{inst}", instance_file) for a in argv]
+        assert main([*argv, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}") and "Traceback" not in err
+
     def test_bad_flags_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["expm", "x.btt", "--method", "splines"])
