@@ -54,12 +54,15 @@ def _fmt_complex(z: complex) -> str:
 
 
 def parse_complex(text: str) -> complex:
-    """Parse 'a+bi' style complex values, e.g. '1e-2', '1e-2i', '-3+0.25i'."""
+    """Parse 'a+bi' style complex values, e.g. '1e-2', '1e-2i', '-3+0.25i',
+    'inf' or '1e-2+infi'."""
     s = text.strip().replace(" ", "").replace("I", "i")
-    if "j" in s:
+    if "j" in s.lower():
         raise ParseError(f"bad complex value {text!r}: use 'i' for the imaginary unit")
+    if s.endswith("i"):  # only the trailing unit: the i of 'inf' is part of the number
+        s = s[:-1] + "j"
     try:
-        value = complex(s.replace("i", "j"))
+        value = complex(s)
     except ValueError as exc:
         raise ParseError(f"bad complex value {text!r}: {exc}") from exc
     return value

@@ -10,8 +10,9 @@ Four routes, all returning the first block-row of the exponential:
   of one eps-circulant of k times the length.
 * ``exp_btt_embedding``: embed into a K-circulant and keep the leading blocks;
   the error is at most the row's mass beyond block K.
-* ``exp_btt_taylor``: shifted Taylor series with structured products, summing
-  only nonnegative terms, to a degree fixed in advance by its remainder bound.
+* ``exp_btt_taylor``: shifted Taylor series, summing only nonnegative terms,
+  to a degree d fixed in advance by its remainder bound, evaluated by
+  Paterson-Stockmeyer in about 2 sqrt(d) structured products.
 
 Every route runs one pipeline: validate -> scale -> length schedule -> pad
 -> core -> squarings -> zero-filled tail.  A route validates its parameters
@@ -307,8 +308,11 @@ def exp_btt_taylor(spec: SubgeneratorSpec, tol: float, max_terms: int = 200) -> 
     the dropped terms of degree above d at most ``tol`` (the shifted sum has
     norm at least 1, so this is relative too), and the method fails before
     any product when d exceeds ``max_terms``.  The bound, times exp(-alpha),
-    is reported as ``"series"``.  The shifted row is transformed once, so
-    each of the d - 1 products takes one forward and one inverse transform.
+    is reported as ``"series"``.  The polynomial is evaluated by Paterson
+    and Stockmeyer's scheme in V**q, q = ceil(sqrt(d)), in (q - 1) +
+    (d - 1) // q products where the termwise sum takes d - 1.  V and V**q
+    are transformed once each, as ``btt_times_btt`` would, so each product
+    takes one forward and one inverse transform, and V**2 the inverse only.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -326,15 +330,26 @@ def exp_btt_taylor(spec: SubgeneratorSpec, tol: float, max_terms: int = 200) -> 
                 f"Taylor series needs more than {max_terms} terms for tol={tol!r}")
         eye = np.eye(sspec.m)
         v[0] += alpha * eye
-        # the fixed operand is transformed once, as btt_times_btt would
-        v_hat = structured_mul._transform_stack(v, 2 * v.shape[0], real=True)
-        w = v
-        y = v.copy()
-        y[0] += eye
-        for r in range(2, d + 1):
-            w = btt_times_btt(v, w / r, u_hat=v_hat)
-            y += w
-        return y * math.exp(-alpha), {"series": math.exp(-alpha) * dropped}
+        # Paterson-Stockmeyer: the powers V..V**q, then r = B_top and
+        # r = V**q r + B_i for i = top - 1 .. 0, where B_i = sum_j V**j /
+        # (q i + j)! over j < q, and j <= d - q top in B_top; every power,
+        # block and partial r is a nonnegative row
+        q = math.isqrt(d - 1) + 1
+        top = (d - 1) // q
+        size, transform = 2 * v.shape[0], structured_mul._transform_stack
+        v_hat = transform(v, size, real=True)
+        powers = [v]
+        for _ in range(q - 1):
+            powers.append(btt_times_btt(v, powers[-1], u_hat=v_hat))
+        vq_hat = transform(powers[-1], size, real=True) if top else None
+        r = np.zeros_like(v)
+        for i in range(top, -1, -1):
+            if i < top:
+                r = btt_times_btt(powers[-1], r, u_hat=vq_hat)
+            for k in range(q * i + 1, d + 1 if i == top else q * i + q):
+                r += powers[k - q * i - 1] * (1 / math.factorial(k))
+            r[0] += eye * (1 / math.factorial(q * i))
+        return r * math.exp(-alpha), {"series": math.exp(-alpha) * dropped}
 
     config = MethodConfig("taylor", taylor_tol=tol, max_terms=max_terms)
     return _run(spec, config, core)

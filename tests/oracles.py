@@ -5,7 +5,9 @@ summation) so the fast paths in the package are checked against code that
 shares none of their machinery.  The one exception is ``expm_small``, the
 package's small-exponential kernel on one matrix, which the tests use as
 the exponential of a leading block or of a small dense assembly; the kernel
-itself is checked against ``long_taylor_expm``.
+itself is checked against ``long_taylor_expm``.  ``exp_eps_circulant`` and
+``taylor_row_termwise`` also run package code: the circulant kernel, and the
+Taylor route's pipeline with the plain termwise series as its core.
 """
 
 import cmath
@@ -13,9 +15,13 @@ import math
 
 import numpy as np
 
+from btt_expm import error_analysis as ea
+from btt_expm import exp_btt
 from btt_expm.block_linalg import BlockVector, validate_subgenerator
 from btt_expm.dense_expm import _expm_stack
+from btt_expm.errors import NumericalError
 from btt_expm.exp_circulant import exp_circulant
+from btt_expm.structured_mul import btt_times_btt
 
 
 def direct_idft(x):
@@ -145,6 +151,33 @@ def exp_eps_circulant(u, epsilon):
         raise ValueError("epsilon must be nonzero")
     log_eps = complex(math.log(abs(epsilon)), math.atan2(epsilon.imag, epsilon.real))
     return exp_circulant(np.asarray(u, dtype=complex), len(u), log_eps)
+
+
+def taylor_row_termwise(spec, tol, max_terms=200):
+    """``exp_btt.exp_btt_taylor(spec, tol, max_terms)`` with the series
+    summed term by term, w = V (w / r) for r = 2..d, one structured product
+    per term: the same scaling, schedule, degree and bounds, a different
+    order of the same nonnegative sums."""
+
+    def core(sspec, v):
+        alpha = sspec.alpha
+        for d in range(1, max_terms + 1):
+            dropped = ea.taylor_truncation_bound(alpha, d + 1)
+            if dropped <= tol:
+                break
+        else:
+            raise NumericalError(f"needs more than {max_terms} terms")
+        v[0] += alpha * np.eye(sspec.m)
+        w = v
+        y = v.copy()
+        y[0] += np.eye(sspec.m)
+        for r in range(2, d + 1):
+            w = btt_times_btt(v, w / r)
+            y += w
+        return y * math.exp(-alpha), {"series": math.exp(-alpha) * dropped}
+
+    config = exp_btt.MethodConfig("taylor", taylor_tol=tol, max_terms=max_terms)
+    return exp_btt._run(spec, config, core)
 
 
 def eps_average_rows(u, theta, k):

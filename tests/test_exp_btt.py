@@ -23,7 +23,8 @@ from btt_expm import error_analysis as ea
 from btt_expm import exp_btt, structured_mul
 
 from oracles import (block_row_inf_norm, eps_average_rows, erlang_clock_exact,
-                     erlang_clock_row, expm_small, l_norm, row_sums, scalar_btt_expm)
+                     erlang_clock_row, expm_small, l_norm, row_sums, scalar_btt_expm,
+                     taylor_row_termwise)
 
 MU = float(np.finfo(np.float64).eps)
 
@@ -305,19 +306,40 @@ class TestTaylorMethod:
         assert error_report(res.y, expm_dense_oracle(spec)).nw_rel <= 1e-12
 
     def test_partial_sums_stay_nonnegative(self):
-        # rebuild the shifted iteration with the public products: every
-        # partial sum before the exp(-alpha) factor is a sum of nonnegative
-        # terms, so only roundoff-level negativity can appear
+        # rebuild the Paterson-Stockmeyer evaluation with the public
+        # products: the powers, every block B_i and every Horner partial
+        # before the exp(-alpha) factor are sums of nonnegative terms, so
+        # only roundoff-level negativity can appear, and the last partial is
+        # the termwise sum of degree d
         spec = random_subgenerator(4, 2, seed=8, alpha_target=0.8)
+        eye = np.eye(spec.m)
         shifted = spec.u.data.copy()
-        shifted[0] += spec.alpha * np.eye(spec.m)
+        shifted[0] += spec.alpha * eye
+        d, q = 11, 4
+        top = (d - 1) // q
+        powers = [shifted]
+        for _ in range(q - 1):
+            powers.append(btt_times_btt(shifted, powers[-1]))
+            assert powers[-1].min() >= -1e-12
+        blocks = []
+        for i in range(top + 1):
+            b = np.zeros_like(shifted)
+            b[0] += eye / math.factorial(q * i)
+            for k in range(q * i + 1, d + 1 if i == top else q * i + q):
+                b += powers[k - q * i - 1] / math.factorial(k)
+            assert b.min() >= -1e-12
+            blocks.append(b)
+        r = blocks.pop()
+        while blocks:
+            r = btt_times_btt(powers[-1], r) + blocks.pop()
+            assert r.min() >= -1e-12
         w = shifted
         y = shifted.copy()
-        y[0] += np.eye(spec.m)
-        for r in range(2, 12):
-            w = btt_times_btt(shifted, w / r)
-            y = y + w
-            assert y.min() >= -1e-12
+        y[0] += eye
+        for k in range(2, d + 1):
+            w = btt_times_btt(shifted, w / k)
+            y += w
+        np.testing.assert_allclose(r, y, rtol=1e-14, atol=1e-15)
 
     def test_scaling_from_whole_row(self):
         # m = 1: the shifted leading block is 0, which gave p = 0 and no
@@ -337,16 +359,21 @@ class TestTaylorMethod:
 
     @pytest.mark.parametrize("tol", [1e-4, 1e-10, 1e-15])
     def test_degree_fixed_by_bound(self, tol, monkeypatch):
-        # the least degree d whose remainder bound is at most tol: d - 1
-        # products for the series and p for the squarings; the fixed operand
-        # is transformed once, each series product then takes two transforms
-        # and each squaring two
+        # the least degree d whose remainder bound is at most tol, evaluated
+        # by Paterson-Stockmeyer in V**q, q = ceil(sqrt(d)): q - 1 products
+        # for the powers, (d - 1) // q Horner steps, and p for the
+        # squarings.  V and V**q are transformed once each; V**2 then takes
+        # one transform (the inverse), and every other series product and
+        # each squaring two
         spec = banded_subgenerator(512, 2, 3, seed=1, alpha_target=2.0)
         p = scaling_exponent(spec)
         alpha = spec.alpha / 2 ** p
         d = next(d for d in range(1, 200)
                  if ea.taylor_truncation_bound(alpha, d + 1) <= tol)
         assert d == 1 or ea.taylor_truncation_bound(alpha, d) > tol
+        q = math.isqrt(d - 1) + 1
+        assert d > q >= 2
+        series = q - 1 + (d - 1) // q
         calls = []
         transforms = []
 
@@ -361,10 +388,29 @@ class TestTaylorMethod:
         monkeypatch.setattr(exp_btt, "btt_times_btt", counting)
         monkeypatch.setattr(structured_mul, "_transform_stack", counting_transform)
         res = exp_btt_taylor(spec, tol)
-        assert len(calls) == d - 1 + p
-        assert len(transforms) == 2 * (d - 1) + 1 + 2 * p
+        assert len(calls) == series + p
+        assert len(transforms) == 2 * series + 1 + 2 * p
         assert res.predicted_bounds["series"] == \
             math.exp(-alpha) * ea.taylor_truncation_bound(alpha, d + 1)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_matches_termwise_series(self, data):
+        # the same polynomial mod z**L_0 as the termwise sum, in another
+        # order of nonnegative sums: the same scaling, length, degree and
+        # bounds, and the rows agree to roundoff.  The roundoff is absolute,
+        # a multiple of mu on rows of norm at most 1: on the rows whose mass
+        # falls to 1e-81 .. 1e-4 both rows are off the dense oracle by 40% to
+        # 10**8 relatively (ROADMAP item 2(e)), so nw_rel is gated
+        # only through nw_abs, which equals it on rows of norm 1
+        spec = draw_row(data)
+        tol = data.draw(st.sampled_from([1e-15, 1e-10, 1e-4]), label="tol")
+        res = exp_btt_taylor(spec, tol)
+        ref = taylor_row_termwise(spec, tol)
+        assert (res.scaling_p, res.n_eff, res.method_used, res.predicted_bounds) == \
+            (ref.scaling_p, ref.n_eff, ref.method_used, ref.predicted_bounds)
+        assert error_report(res.y, ref.y).nw_abs <= 1e-13
 
     @pytest.mark.parametrize("tol", [1e-4, 1e-8, 1e-12])
     def test_error_within_series_bound(self, tol):
@@ -831,12 +877,13 @@ class TestBoundTable:
 
 
 class TestErlangClockOracle:
-    """All four methods at n = 2**14, m = 2 and n = 2**16, m = 1 against the
-    exact Poisson-times-e**Q row: rows whose mass spans all n blocks, so
-    n' = n, p = log2(n) and the squarings run at growing lengths."""
+    """All four methods at n = 2**14, m = 2, n = 2**16, m = 1 and n = 2**11,
+    m = 8 against the exact Poisson-times-e**Q row: rows whose mass spans
+    all n blocks, so n' = n, p = log2(n) and the squarings run at growing
+    lengths."""
 
-    @pytest.fixture(scope="class", params=[(2 ** 14, 2), (2 ** 16, 1)],
-                    ids=["16384x2", "65536x1"])
+    @pytest.fixture(scope="class", params=[(2 ** 14, 2), (2 ** 16, 1), (2 ** 11, 8)],
+                    ids=["16384x2", "65536x1", "2048x8"])
     def case(self, request):
         n, m = request.param
         return erlang_clock_row(n, m), BlockVector(erlang_clock_exact(n, m))

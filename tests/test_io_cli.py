@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -96,11 +98,14 @@ class TestParseComplex:
         ("i", 1j),
         ("-i", -1j),
         ("2-4i", 2 - 4j),
+        ("inf", complex(math.inf, 0)),
+        ("1e-2+infi", complex(1e-2, math.inf)),
+        ("-Infi", complex(0, -math.inf)),
     ])
     def test_accepted_forms(self, text, value):
         assert parse_complex(text) == value
 
-    @pytest.mark.parametrize("text", ["", "abc", "1+2x", "1j"])
+    @pytest.mark.parametrize("text", ["", "abc", "1+2x", "1j", "1J"])
     def test_rejected_forms(self, text):
         with pytest.raises(ParseError):
             parse_complex(text)
@@ -241,6 +246,14 @@ class TestCli:
         assert main([argv[0], instance_file, *argv[1:], "--out", "-"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "finite" in err
+
+    @pytest.mark.parametrize("epsilon", ["inf", "1e-2+infi"])
+    def test_infinite_epsilon_reaches_the_method(self, instance_file, capsys, epsilon):
+        # 'inf' parsed as 'jnf' and failed as malformed syntax
+        argv = ["expm", instance_file, "--method", "eps-circulant", "--epsilon", epsilon]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "epsilon must be finite" in err and "bad complex value" not in err
 
     @pytest.mark.parametrize("argv", [
         ["expm", "{inst}", "--method", "taylor"],
